@@ -570,9 +570,23 @@ util::Status Monitor::Initialize(const OfflineBundle& bundle,
                                      "' does not belong to stage " +
                                      std::to_string(s));
       }
-      MVTEE_ASSIGN_OR_RETURN(VariantConn conn,
-                             BindVariant(bundle, host, id));
-      stages[static_cast<size_t>(s)].variants.push_back(std::move(conn));
+    }
+  }
+  // Bind every variant; a failure rolls back the ones bound so far so
+  // no TEE, thread or EPC page outlives the failed bootstrap.
+  for (int32_t s = 0; s < bundle.num_stages; ++s) {
+    for (const std::string& id :
+         selection.stage_variant_ids[static_cast<size_t>(s)]) {
+      auto conn = BindVariant(bundle, host, id);
+      if (!conn.ok()) {
+        for (int32_t r = 0; r <= s; ++r) {
+          for (auto& bound : stages[static_cast<size_t>(r)].variants) {
+            RetireVariant(r, bound);
+          }
+        }
+        return conn.status();
+      }
+      stages[static_cast<size_t>(s)].variants.push_back(std::move(*conn));
     }
   }
   stages_ = std::move(stages);
@@ -598,8 +612,9 @@ util::Status Monitor::Initialize(const OfflineBundle& bundle,
     lifecycle_host_ = nullptr;
   }
   BindMetrics();  // resolves the per-stage instruments
-  MVTEE_RETURN_IF_ERROR(ConfigureRoutes(host));
-  return util::OkStatus();
+  util::Status routed = ConfigureRoutes(host);
+  if (!routed.ok()) (void)Shutdown();
+  return routed;
 }
 
 util::Status Monitor::UpdateStage(const OfflineBundle& bundle,
@@ -616,8 +631,6 @@ util::Status Monitor::UpdateStage(const OfflineBundle& bundle,
   }
   if (ids.empty()) return util::InvalidArgument("empty variant selection");
 
-  // Bind replacements first (never reuse TEEs — §4.3).
-  std::vector<VariantConn> fresh;
   for (const std::string& id : ids) {
     const OfflineVariantEntry* entry = bundle.FindVariant(id);
     if (entry == nullptr || entry->stage != stage) {
@@ -625,21 +638,21 @@ util::Status Monitor::UpdateStage(const OfflineBundle& bundle,
                                    "' does not belong to stage " +
                                    std::to_string(stage));
     }
-    MVTEE_ASSIGN_OR_RETURN(VariantConn conn, BindVariant(bundle, host, id));
-    fresh.push_back(std::move(conn));
+  }
+  // Bind replacements first (never reuse TEEs — §4.3); a failure rolls
+  // back the replacements bound so far and keeps the old panel.
+  std::vector<VariantConn> fresh;
+  for (const std::string& id : ids) {
+    auto conn = BindVariant(bundle, host, id);
+    if (!conn.ok()) {
+      for (auto& bound : fresh) RetireVariant(stage, bound);
+      return conn.status();
+    }
+    fresh.push_back(std::move(*conn));
   }
   // Retire the old TEEs.
   StageState& st = stages_[static_cast<size_t>(stage)];
-  for (auto& conn : st.variants) {
-    (void)conn.channel->Send(EncodeShutdown());
-    conn.channel->Close();
-    std::lock_guard<std::mutex> lock(bindings_mu_);
-    for (auto& b : bindings_) {
-      if (b.stage == stage && b.variant_id == conn.id && b.active) {
-        b.active = false;
-      }
-    }
-  }
+  for (auto& conn : st.variants) RetireVariant(stage, conn);
   st.variants = std::move(fresh);
   if (supervisor_ != nullptr) {
     // Partial updates change panel membership: rebuild the lifecycle
@@ -654,9 +667,11 @@ util::Status Monitor::UpdateStage(const OfflineBundle& bundle,
     lifecycle_bundle_ = bundle;
     lifecycle_host_ = &host;
   }
-  // Horizontal scaling may change fast/slow classification.
-  MVTEE_RETURN_IF_ERROR(ConfigureRoutes(host));
-  return util::OkStatus();
+  // Horizontal scaling may change fast/slow classification. A panel
+  // that cannot be routed cannot serve: tear the deployment down.
+  util::Status routed = ConfigureRoutes(host);
+  if (!routed.ok()) (void)Shutdown();
+  return routed;
 }
 
 util::Status Monitor::FullUpdate(const OfflineBundle& bundle,
@@ -1049,6 +1064,12 @@ void Monitor::DeactivateBinding(int32_t stage,
       b.active = false;
     }
   }
+}
+
+void Monitor::RetireVariant(int32_t stage, VariantConn& conn) {
+  (void)conn.channel->Send(EncodeShutdown());
+  conn.channel->Close();
+  DeactivateBinding(stage, conn.id);
 }
 
 void Monitor::RebootstrapSlot(size_t stage, size_t vi) {
@@ -2395,10 +2416,9 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
 util::Status Monitor::Shutdown() {
   StopService();
   if (!initialized_) return util::OkStatus();
-  for (auto& stage : stages_) {
-    for (auto& conn : stage.variants) {
-      (void)conn.channel->Send(EncodeShutdown());
-      conn.channel->Close();
+  for (size_t s = 0; s < stages_.size(); ++s) {
+    for (auto& conn : stages_[s].variants) {
+      RetireVariant(static_cast<int32_t>(s), conn);
     }
   }
   {

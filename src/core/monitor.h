@@ -65,10 +65,6 @@ struct MonitorConfig {
   // routing (direct_fastpath = false).
   bool verify_fast_path = false;
   int64_t recv_timeout_us = 30'000'000;
-  // Legacy busy-poll slice. Unused since the event loop became evented
-  // (it blocks on a transport::WaitSet instead of sleeping); kept so
-  // existing configs still compile.
-  int64_t poll_slice_us = 50;
   // Worker threads for MVX cross-validation (Vote / pairwise
   // consistency). 0 runs verification inline on the ingestion thread
   // (deterministic; the pre-evented behavior).
@@ -440,6 +436,12 @@ class Monitor {
   // Marks the audit-log binding of a quarantined/retired variant
   // inactive (the replacement is appended by BindVariant).
   void DeactivateBinding(int32_t stage, const std::string& variant_id);
+
+  // Sends Shutdown to a bound variant, closes its channel and marks its
+  // binding inactive: the variant's service thread exits and releases
+  // its EPC. Used on every retirement path, including the rollback of a
+  // failed Initialize/UpdateStage.
+  void RetireVariant(int32_t stage, VariantConn& conn);
 
   // Continuous-feed hooks for RunStream: when non-null, the stream
   // starts empty and pulls work from the feed whenever a pipeline slot

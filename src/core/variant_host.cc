@@ -68,6 +68,12 @@ struct VariantState {
   std::vector<Upstream> upstream;
   std::vector<Downstream> downstream;
 
+  // The variant's one readiness set: attached to the monitor channel
+  // after the handshake and to every upstream channel before RoutesAck,
+  // so the service loop parks on it instead of sleep-polling.
+  std::shared_ptr<transport::WaitSet> events =
+      std::make_shared<transport::WaitSet>();
+
   // Slot assembly per batch.
   struct Assembly {
     std::vector<std::optional<tensor::Tensor>> slots;
@@ -192,6 +198,10 @@ util::Status SetupRoutes(const SetupRoutesMsg& msg, tee::Enclave& enclave,
   }
   for (auto& setup : setups) {
     MVTEE_RETURN_IF_ERROR(setup.status);
+    // Attached before the RoutesAck goes out: the monitor admits no
+    // batch (hence no producer sends StageData) until every ack is in,
+    // so no fast-path frame can land unseen.
+    setup.channel->AttachWaiter(state.events);
     state.upstream.push_back({std::move(setup.channel)});
   }
 
@@ -330,7 +340,20 @@ void RunAssembledBatch(VariantState& state, uint64_t batch,
   state.vclock_us = v_done;
 }
 
-// Variant service main loop (one per enclave/thread).
+// A receive that consumed a frame, even one that failed to open or
+// decode. Only a timeout (queue empty) or a closed channel leaves the
+// queue untouched.
+bool Consumed(const util::Status& status) {
+  return status.code() != util::StatusCode::kDeadlineExceeded &&
+         status.code() != util::StatusCode::kUnavailable;
+}
+
+// Variant service main loop (one per enclave/thread). Evented: each
+// pass snapshots the wait set's epoch, polls the monitor channel and
+// every upstream pipe without blocking, and parks on the wait set only
+// if no frame was consumed. The loop exits on protocol events alone —
+// Shutdown, the monitor closing its channel, or a monitor frame that
+// does not decode — never on silence (DESIGN.md §7).
 void VariantServiceMain(std::unique_ptr<tee::Enclave> enclave,
                         transport::Endpoint endpoint, VariantHost* host,
                         tee::SimulatedCpu* cpu,
@@ -354,6 +377,7 @@ void VariantServiceMain(std::unique_ptr<tee::Enclave> enclave,
   }
 
   VariantState state;
+  monitor_channel->AttachWaiter(state.events);
   auto teardown = [&] {
     monitor_channel->Close();
     for (auto& up : state.upstream) up.channel->Close();
@@ -361,13 +385,16 @@ void VariantServiceMain(std::unique_ptr<tee::Enclave> enclave,
     cpu->ReleaseEnclave(*enclave);
   };
 
-  const int64_t idle_sleep_us = 50;
-  int64_t last_activity = util::NowMicros();
+  // Upper bound on one park. Every frame and every close notifies the
+  // wait set, so this only re-checks the (empty) queues once a second.
+  constexpr int64_t kParkUs = 1'000'000;
 
   for (;;) {
-    bool progressed = false;
+    // Epoch snapshot BEFORE polling: a frame landing after it advances
+    // the epoch, so the park below returns at once.
+    const uint64_t epoch = state.events->Epoch();
 
-    // 1. Monitor channel (non-blocking poll).
+    // 1. Monitor channel.
     util::Bytes header;
     auto frame = monitor_channel->RecvPooled(0, &header);
     if (!frame.ok() &&
@@ -375,8 +402,8 @@ void VariantServiceMain(std::unique_ptr<tee::Enclave> enclave,
       teardown();
       return;  // monitor closed the channel
     }
+    bool progressed = Consumed(frame.status());
     if (frame.ok()) {
-      progressed = true;
       auto type = PeekType(frame->span());
       if (!type.ok()) {
         teardown();
@@ -447,11 +474,14 @@ void VariantServiceMain(std::unique_ptr<tee::Enclave> enclave,
       }
     }
 
-    // 2. Upstream fast-path pipes (non-blocking poll).
+    // 2. Upstream fast-path pipes.
     for (auto& up : state.upstream) {
       util::Bytes up_header;
       auto data_frame = up.channel->RecvPooled(0, &up_header);
-      if (!data_frame.ok()) continue;
+      if (!data_frame.ok()) {
+        progressed |= Consumed(data_frame.status());
+        continue;
+      }
       progressed = true;
       auto msg = DecodeStageData(*data_frame);  // tensors alias the frame
       if (!msg.ok() || !state.executor) continue;
@@ -466,15 +496,8 @@ void VariantServiceMain(std::unique_ptr<tee::Enclave> enclave,
       }
     }
 
-    if (progressed) {
-      last_activity = util::NowMicros();
-    } else {
-      if (util::NowMicros() - last_activity > options.recv_timeout_us) {
-        teardown();  // orphaned: monitor gone silent
-        return;
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(idle_sleep_us));
-    }
+    // 3. Idle: park until a frame lands or a channel closes.
+    if (!progressed) state.events->WaitFor(epoch, kParkUs);
   }
 }
 

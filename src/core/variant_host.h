@@ -40,6 +40,9 @@ class VariantHost {
     // Plaintext channels (encryption-overhead ablation only).
     bool plaintext_channels = false;
     size_t variant_epc_pages = 4096;
+    // Bounds each attested handshake (monitor and fast-path pipes). It
+    // is not an idle timeout: a variant exits only on Shutdown, on the
+    // monitor closing its channel, or on an undecodable monitor frame.
     int64_t recv_timeout_us = 30'000'000;
     // Host-attacker hook: installed on every variant-side endpoint's
     // transmit path before the service thread starts (models a

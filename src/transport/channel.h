@@ -118,9 +118,18 @@ class MessageQueue {
 using Interceptor =
     std::function<std::optional<util::Bytes>(const util::Bytes&)>;
 
+// One end of a duplex channel. Move-only: an endpoint owns its side of
+// the connection, and dropping it closes both of its queues, so the
+// peer reads the loss as a disconnect (kUnavailable) rather than as
+// silence.
 class Endpoint {
  public:
   Endpoint() = default;
+  Endpoint(Endpoint&&) noexcept = default;
+  Endpoint& operator=(Endpoint&& other) noexcept;
+  Endpoint(const Endpoint&) = delete;
+  Endpoint& operator=(const Endpoint&) = delete;
+  ~Endpoint() { Close(); }
 
   // Sends one frame (applies cost model + interceptor). Copies `frame`
   // into a fresh buffer; the zero-copy path is SendPooled.

@@ -572,10 +572,15 @@ TEST_F(MvteeSystemTest, TamperedStoreBlocksBootstrap) {
   auto monitor = Monitor::Create(&cpu_, MonitorConfig{});
   ASSERT_TRUE(monitor.ok());
   monitor_ = std::move(*monitor);
+  const size_t epc_before = cpu_.used_epc_pages();
   auto status = monitor_->Initialize(bundle_,
                                      MvxSelection::Uniform(bundle_, 1),
                                      *host_);
   EXPECT_FALSE(status.ok());
+  // The failed bootstrap rolled back: every spawned variant exits and
+  // returns its EPC without waiting for a Shutdown or a timeout.
+  host_->JoinAll();
+  EXPECT_EQ(cpu_.used_epc_pages(), epc_before);
 }
 
 TEST_F(MvteeSystemTest, RejectsSelectionFromWrongStage) {

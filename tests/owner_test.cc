@@ -254,11 +254,13 @@ TEST(KeyRotationTest, StaleBundleFailsAfterRotation) {
   VariantHost host(&cpu, bundle.store);
   auto monitor = Monitor::Create(&cpu, MonitorConfig{});
   ASSERT_TRUE(monitor.ok());
+  const size_t epc_before = cpu.used_epc_pages();
   auto status = (*monitor)->Initialize(
       stale, MvxSelection::Uniform(stale, 1), host);
   EXPECT_FALSE(status.ok());
-  (void)(*monitor)->Shutdown();
+  // Rolled back by Initialize itself: no Shutdown needed to free EPC.
   host.JoinAll();
+  EXPECT_EQ(cpu.used_epc_pages(), epc_before);
 }
 
 TEST(MessagesTest, ProvisionRoundTrip) {

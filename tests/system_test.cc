@@ -13,14 +13,18 @@
 #include "transport/channel.h"
 #include "util/clock.h"
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
 #include <sstream>
+#include <thread>
 
 
 namespace mvtee::core {
@@ -543,12 +547,56 @@ TEST_F(VirtualTimeTest, EpcExhaustionFailsInitializationGracefully) {
   VariantHost host(&tiny_cpu, bundle_.store);
   auto monitor = Monitor::Create(&tiny_cpu, MonitorConfig{});
   ASSERT_TRUE(monitor.ok());
+  const size_t epc_before = tiny_cpu.used_epc_pages();
   auto status = (*monitor)->Initialize(
       bundle_, MvxSelection::Uniform(bundle_, 3), host);
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), util::StatusCode::kUnavailable);
-  (void)(*monitor)->Shutdown();
+  // The variants bound before EPC ran out are shut down by the failed
+  // Initialize itself: they exit and free their pages.
   host.JoinAll();
+  EXPECT_EQ(tiny_cpu.used_epc_pages(), epc_before);
+}
+
+TEST_F(VirtualTimeTest, IdleDeploymentOutlivesRecvTimeout) {
+  // recv_timeout_us bounds handshakes only: a variant left idle for
+  // longer than that keeps serving (it exits on protocol events alone).
+  MonitorConfig config;
+  config.recv_timeout_us = 300'000;
+  VariantHost::Options host_options;
+  host_options.recv_timeout_us = 300'000;
+  Boot(config, 3, 1, host_options);
+  auto batches = MakeBatches(1);
+  ASSERT_TRUE(monitor_->Run(batches).ok());
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  auto again = monitor_->Run(batches);
+  EXPECT_TRUE(again.ok()) << again.status().ToString();
+}
+
+// Process CPU time (user + system, all threads) in microseconds.
+int64_t ProcessCpuMicros() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  auto us = [](const timeval& tv) {
+    return static_cast<int64_t>(tv.tv_sec) * 1'000'000 + tv.tv_usec;
+  };
+  return us(usage.ru_utime) + us(usage.ru_stime);
+}
+
+TEST_F(VirtualTimeTest, IdleDeploymentParksInsteadOfPolling) {
+  // Nine variant threads (3 stages x k=3) plus the request loop sit idle
+  // for a second: parked on their wait sets they must cost under 5% of
+  // one core, where a sleep-poll loop burns most of one.
+  Boot(MonitorConfig{}, 3, 3);
+  ASSERT_TRUE(monitor_->Run(MakeBatches(1)).ok());
+  const int64_t cpu0 = ProcessCpuMicros();
+  const int64_t wall0 = util::NowMicros();
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  const int64_t cpu_us = ProcessCpuMicros() - cpu0;
+  const int64_t wall_us = util::NowMicros() - wall0;
+  EXPECT_LT(cpu_us, wall_us / 20)
+      << "idle deployment used " << cpu_us << " us CPU in " << wall_us
+      << " us wall";
 }
 
 TEST_F(VirtualTimeTest, ExplicitSelectionPicksNamedVariants) {

@@ -61,6 +61,27 @@ TEST(ChannelTest, QueuedFramesSurviveClose) {
   EXPECT_FALSE(b.Recv(10'000).ok());
 }
 
+TEST(ChannelTest, DroppedEndpointReadsAsDisconnect) {
+  auto [a, b] = CreateChannel();
+  ASSERT_TRUE(a.Send(ToBytes("last words")).ok());
+  { Endpoint gone = std::move(a); }  // the moved-from `a` owns nothing
+  auto got = b.Recv(100'000);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, ToBytes("last words"));
+  EXPECT_EQ(b.Recv(0).status().code(), StatusCode::kUnavailable);
+}
+
+TEST(ChannelTest, MoveAssignClosesTheReplacedEndpoint) {
+  auto [a, b] = CreateChannel();
+  auto [c, d] = CreateChannel();
+  a = std::move(c);
+  EXPECT_EQ(b.Recv(0).status().code(), StatusCode::kUnavailable);
+  ASSERT_TRUE(a.Send(ToBytes("rebound")).ok());
+  auto got = d.Recv(100'000);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, ToBytes("rebound"));
+}
+
 TEST(ChannelTest, InterceptorCanDropAndTamper) {
   auto [a, b] = CreateChannel();
   int count = 0;
