@@ -14,32 +14,24 @@
 namespace mvtee::bench {
 namespace {
 
-void AblationPartitionBalance() {
+// Each ablation returns its number of failed rows.
+int AblationPartitionBalance() {
   PrintFigureHeader("Ablation A",
                     "Balanced vs unbiased random contraction (5 "
                     "partitions, pipelined)");
   std::printf("%-16s | %10s %10s | %10s %10s\n", "model", "bal imbal",
               "uni imbal", "bal tput", "uni tput");
   PrintRule();
-  const int kBatches = 12;
+  int failed = 0;
   for (auto kind :
        {graph::ModelKind::kResNet50, graph::ModelKind::kGoogleNet,
         graph::ModelKind::kMobileNetV3}) {
     graph::Graph model = graph::BuildModel(kind, BenchZooConfig());
-    auto batches = MakeBatches(model, kBatches, 37);
 
     double imbalance[2] = {0, 0}, tput[2] = {0, 0};
     for (int mode = 0; mode < 2; ++mode) {
       // mode 0: balanced default; mode 1: uniform weights, no cost cap.
-      MvteeSetup setup = FundamentalSetup(5, 37);
-      auto bundle_opts = core::OfflineOptions{};
-      bundle_opts.num_partitions = 5;
-      bundle_opts.partition_seed = 37;
-      bundle_opts.key_seed = 38;
-      bundle_opts.partition_trials = 1;
-      bundle_opts.pool = setup.pool;
-
-      // Recompute the partition set explicitly to read its imbalance.
+      // The partition set is computed explicitly to read its imbalance.
       partition::PartitionOptions popts;
       popts.target_partitions = 5;
       popts.seed = 37;
@@ -48,22 +40,12 @@ void AblationPartitionBalance() {
         popts.max_cost_fraction = 1.0;
       }
       auto set = partition::RandomContraction(model, popts);
-      if (!set.ok()) continue;
+      if (!set.ok()) {
+        ++failed;
+        continue;
+      }
       imbalance[mode] = set->CostImbalance();
 
-      // Run MVTEE with the same partitioning behaviour (the offline tool
-      // uses the default weights; emulate the ablation by seeding the
-      // run from the explicit partition set via manual slicing).
-      std::vector<std::vector<graph::NodeId>> groups;
-      for (const auto& p : set->partitions) groups.push_back(p.nodes);
-      auto manual = partition::ManualSlice(model, groups);
-      if (!manual.ok()) continue;
-      auto pm = partition::BuildPartitionedModel(model, *manual);
-      if (!pm.ok()) continue;
-      // Feed through the bundle path by rebuilding with matching seed:
-      // simplest honest route — build the offline bundle from the same
-      // groups via the manual-slice partition set.
-      (void)pm;
       // Offline tool only supports random contraction; approximate the
       // ablation by measuring the critical-stage share analytically:
       // pipeline throughput ~ 1 / max stage cost.
@@ -84,9 +66,10 @@ void AblationPartitionBalance() {
       "imbalance = max stage cost / mean (1.0 = perfect); tput = relative\n"
       "pipeline drain rate (1/imbalance). Balanced contraction keeps the\n"
       "pipeline bottleneck near the mean; unbiased contraction does not.\n");
+  return failed;
 }
 
-void AblationDirectFastPath() {
+int AblationDirectFastPath() {
   PrintFigureHeader("Ablation B",
                     "Direct fast-path pipes vs monitor-mediated "
                     "forwarding (5 partitions, 1 variant/stage)");
@@ -94,6 +77,7 @@ void AblationDirectFastPath() {
               "mediated", "cost");
   PrintRule();
   const int kBatches = 12;
+  int failed = 0;
   for (auto kind :
        {graph::ModelKind::kResNet50, graph::ModelKind::kEfficientNetB7,
         graph::ModelKind::kMnasNet}) {
@@ -104,12 +88,25 @@ void AblationDirectFastPath() {
     MvteeSetup mediated = FundamentalSetup(5, 39);
     mediated.monitor.direct_fastpath = false;
     auto bundle = BuildBenchBundle(model, direct);
-    if (!bundle.ok()) continue;
+    if (!bundle.ok()) {
+      std::printf("%-16s offline failed: %s\n",
+                  std::string(graph::ModelName(kind)).c_str(),
+                  bundle.status().ToString().c_str());
+      ++failed;
+      continue;
+    }
 
     for (bool pipelined : {false, true}) {
       auto d = RunMvtee(*bundle, direct, batches, pipelined);
       auto m = RunMvtee(*bundle, mediated, batches, pipelined);
-      if (!d.ok() || !m.ok()) continue;
+      if (!d.ok() || !m.ok()) {
+        std::printf("%-16s %4s | run failed: %s\n",
+                    std::string(graph::ModelName(kind)).c_str(),
+                    pipelined ? "pipe" : "seq",
+                    (!d.ok() ? d.status() : m.status()).ToString().c_str());
+        ++failed;
+        continue;
+      }
       std::printf("%-16s %4s | %10.1f %10.1f %7.1f%%\n",
                   std::string(graph::ModelName(kind)).c_str(),
                   pipelined ? "pipe" : "seq", d->throughput, m->throughput,
@@ -120,9 +117,10 @@ void AblationDirectFastPath() {
   std::printf(
       "cost = throughput lost when all boundary tensors detour through "
       "the monitor.\n");
+  return failed;
 }
 
-void AblationCheckMetric() {
+int AblationCheckMetric() {
   PrintFigureHeader("Ablation C",
                     "Consistency metric cost (3-variant panel, 5 "
                     "partitions, all-MVX, sequential)");
@@ -135,7 +133,11 @@ void AblationCheckMetric() {
   setup.pool.variants_per_stage = 3;
   setup.variant_counts = {3, 3, 3, 3, 3};
   auto bundle = BuildBenchBundle(model, setup);
-  if (!bundle.ok()) return;
+  if (!bundle.ok()) {
+    std::printf("offline failed: %s\n", bundle.status().ToString().c_str());
+    return 1;
+  }
+  int failed = 0;
 
   struct M {
     const char* name;
@@ -154,6 +156,7 @@ void AblationCheckMetric() {
     if (!out.ok()) {
       std::printf("%-12s | failed: %s\n", m.name,
                   out.status().ToString().c_str());
+      ++failed;
       continue;
     }
     std::printf("%-12s | %10.1f %12llu\n", m.name, out->throughput,
@@ -165,13 +168,13 @@ void AblationCheckMetric() {
       "verification compute is minor next to transfers — consistent with "
       "the paper's\nobservation that \"verification computation typically "
       "completes quickly\".\n");
+  return failed;
 }
 
 int Main() {
-  AblationPartitionBalance();
-  AblationDirectFastPath();
-  AblationCheckMetric();
-  return 0;
+  const int failed = AblationPartitionBalance() + AblationDirectFastPath() +
+                     AblationCheckMetric();
+  return ExitCode(failed);
 }
 
 }  // namespace

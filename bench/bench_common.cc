@@ -1,6 +1,8 @@
 #include "bench/bench_common.h"
 
 #include <cstdlib>
+#include <future>
+#include <span>
 
 #include "obs/exporters.h"
 
@@ -104,17 +106,46 @@ util::Result<Outcome> RunMvtee(
   }
   MVTEE_RETURN_IF_ERROR(monitor->Initialize(bundle, selection, host));
 
-  // Warm-up batch.
-  MVTEE_RETURN_IF_ERROR(monitor->Run({batches[0]}).status());
+  // Sequential runs submit each batch once the previous one answered.
+  // Pipelined runs submit every batch at once (one pipeline slot each,
+  // no batch window), then wait for all of them.
+  core::ServiceConfig service;
+  if (pipelined) {
+    service.admission_queue_max = batches.size();
+    service.scheduler.max_batch = batches.size();
+    service.scheduler.batch_window_us = 0;
+  }
+  auto serve = [&](std::span<const std::vector<Tensor>> inputs) {
+    MVTEE_RETURN_IF_ERROR(monitor->StartService(service));
+    MVTEE_ASSIGN_OR_RETURN(auto session, monitor->OpenSession());
+    std::vector<std::future<core::InferenceResponse>> pending;
+    for (const auto& batch : inputs) {
+      MVTEE_ASSIGN_OR_RETURN(auto future, session->Submit({batch}));
+      if (pipelined) {
+        pending.push_back(std::move(future));
+      } else {
+        MVTEE_RETURN_IF_ERROR(future.get().status);
+      }
+    }
+    // Await the last answer first: the client thread then sleeps through
+    // the run instead of waking at every completion and competing with
+    // the variant threads for cores.
+    for (auto it = pending.rbegin(); it != pending.rend(); ++it) {
+      MVTEE_RETURN_IF_ERROR(it->get().status);
+    }
+    // Stopping joins the serving stream, so every counter is flushed
+    // before ConsumeStats() reads it.
+    monitor->StopService();
+    return util::OkStatus();
+  };
 
-  // The per-call stats handle carries exactly this run's numbers; the
-  // warm-up above never pollutes them.
+  // Warm-up batch; its stats are discarded.
+  MVTEE_RETURN_IF_ERROR(serve(std::span(batches).first(1)));
+  (void)monitor->ConsumeStats();
+
   Outcome outcome;
-  MVTEE_RETURN_IF_ERROR(
-      monitor
-          ->Run(batches, core::RunOptions{.pipelined = pipelined,
-                                          .stats = &outcome.stats})
-          .status());
+  MVTEE_RETURN_IF_ERROR(serve(batches));
+  outcome.stats = monitor->ConsumeStats();
   outcome.throughput = outcome.stats.ThroughputPerSec();
   outcome.mean_latency_ms = outcome.stats.MeanLatencyUs() / 1000.0;
 
@@ -177,6 +208,12 @@ void PrintRule() {
   std::printf(
       "--------------------------------------------------------------------"
       "----------\n");
+}
+
+int ExitCode(int failed_rows) {
+  if (failed_rows == 0) return 0;
+  std::fprintf(stderr, "%d row(s) failed\n", failed_rows);
+  return 1;
 }
 
 }  // namespace mvtee::bench

@@ -81,6 +81,10 @@ void PrintFigureHeader(const std::string& figure,
                        const std::string& description);
 void PrintRule();
 
+// Exit code of a figure bench: 0 when every row ran, else 1 with the
+// count on stderr, so a broken run fails CI instead of printing zeros.
+int ExitCode(int failed_rows);
+
 inline double Norm(double value, double baseline) {
   return baseline > 0 ? value / baseline : 0.0;
 }

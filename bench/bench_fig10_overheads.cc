@@ -25,6 +25,7 @@ int Main() {
   PrintRule();
 
   const int kBatches = 20;
+  int failed = 0;
   for (auto kind : graph::AllModels()) {
     graph::Graph model = graph::BuildModel(kind, BenchZooConfig());
     auto batches = MakeBatches(model, kBatches, 9);
@@ -40,7 +41,13 @@ int Main() {
     ckpt.monitor.verify_fast_path = true;
 
     auto bundle = BuildBenchBundle(model, plain);
-    if (!bundle.ok()) continue;
+    if (!bundle.ok()) {
+      std::printf("%-16s offline failed: %s\n",
+                  std::string(graph::ModelName(kind)).c_str(),
+                  bundle.status().ToString().c_str());
+      ++failed;
+      continue;
+    }
 
     for (bool pipelined : {false, true}) {
       auto a = RunMvtee(*bundle, plain, batches, pipelined);
@@ -60,6 +67,7 @@ int Main() {
         std::printf("%-16s %4s | run failed\n",
                     std::string(graph::ModelName(kind)).c_str(),
                     pipelined ? "pipe" : "seq");
+        ++failed;
         continue;
       }
       const double overhead = 1.0 - c->throughput / a->throughput;
@@ -76,7 +84,7 @@ int Main() {
   std::printf(
       "overhead = 1 - (enc+ckpt)/baseline; paper: 13.6%%-50.7%% seq, "
       "50.4%%-93.6%% pipelined.\n");
-  return 0;
+  return ExitCode(failed);
 }
 
 }  // namespace

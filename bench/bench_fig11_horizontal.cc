@@ -25,6 +25,7 @@ int Main() {
   PrintRule();
 
   const int kBatches = 12;
+  int failed = 0;
   for (auto kind : graph::AllModels()) {
     graph::Graph model = graph::BuildModel(kind, BenchZooConfig());
     auto batches = MakeBatches(model, kBatches, 11);
@@ -33,7 +34,13 @@ int Main() {
     MvteeSetup setup = FundamentalSetup(5);
     setup.pool.variants_per_stage = 5;
     auto bundle = BuildBenchBundle(model, setup);
-    if (!bundle.ok()) continue;
+    if (!bundle.ok()) {
+      std::printf("%-16s offline failed: %s\n",
+                  std::string(graph::ModelName(kind)).c_str(),
+                  bundle.status().ToString().c_str());
+      ++failed;
+      continue;
+    }
 
     for (bool pipelined : {false, true}) {
       double tput[3] = {0, 0, 0}, lat[3] = {0, 0, 0};
@@ -45,6 +52,11 @@ int Main() {
         if (out.ok()) {
           tput[i] = Norm(out->throughput, base.throughput);
           lat[i] = Norm(out->mean_latency_ms, base.mean_latency_ms);
+        } else {
+          std::fprintf(stderr, "%s: run failed: %s\n",
+                       std::string(graph::ModelName(kind)).c_str(),
+                       out.status().ToString().c_str());
+          ++failed;
         }
         ++i;
       }
@@ -60,7 +72,7 @@ int Main() {
       "paper: sequential cost of extra variants is negligible next to\n"
       "partitioning; pipelined 1->3 transition (fast->slow path) costs "
       "more than 3->5.\n");
-  return 0;
+  return ExitCode(failed);
 }
 
 }  // namespace

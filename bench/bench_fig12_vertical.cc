@@ -23,6 +23,7 @@ int Main() {
   PrintRule();
 
   const int kBatches = 12;
+  int failed = 0;
   const std::vector<std::vector<int>> configs = {
       {1, 1, 3, 1, 1},  // 1-MVX (3rd partition)
       {1, 1, 3, 3, 3},  // 3-MVX (3rd..5th)
@@ -37,7 +38,13 @@ int Main() {
     MvteeSetup setup = FundamentalSetup(5);
     setup.pool.variants_per_stage = 3;
     auto bundle = BuildBenchBundle(model, setup);
-    if (!bundle.ok()) continue;
+    if (!bundle.ok()) {
+      std::printf("%-16s offline failed: %s\n",
+                  std::string(graph::ModelName(kind)).c_str(),
+                  bundle.status().ToString().c_str());
+      ++failed;
+      continue;
+    }
 
     for (bool pipelined : {false, true}) {
       double tput[3] = {0, 0, 0}, lat[3] = {0, 0, 0};
@@ -48,6 +55,11 @@ int Main() {
         if (out.ok()) {
           tput[i] = Norm(out->throughput, base.throughput);
           lat[i] = Norm(out->mean_latency_ms, base.mean_latency_ms);
+        } else {
+          std::fprintf(stderr, "%s: run failed: %s\n",
+                       std::string(graph::ModelName(kind)).c_str(),
+                       out.status().ToString().c_str());
+          ++failed;
         }
       }
       std::printf(
@@ -61,7 +73,7 @@ int Main() {
   std::printf(
       "paper: seq >=0.4x tput for 1-/3-MVX, ~0.3x for full MVX; pipelined\n"
       "1-/3-MVX generally beat the original; full MVX stalls pipelines.\n");
-  return 0;
+  return ExitCode(failed);
 }
 
 }  // namespace

@@ -41,6 +41,7 @@ int Main() {
   PrintRule();
 
   const int kBatches = 12;
+  int failed = 0;
   for (auto kind : graph::AllModels()) {
     graph::Graph model = graph::BuildModel(kind, BenchZooConfig());
     auto batches = MakeBatches(model, kBatches, 17);
@@ -51,6 +52,7 @@ int Main() {
       std::printf("%-16s offline failed: %s\n",
                   std::string(graph::ModelName(kind)).c_str(),
                   bundle.status().ToString().c_str());
+      ++failed;
       continue;
     }
 
@@ -69,6 +71,7 @@ int Main() {
                     (!sync_out.ok() ? sync_out.status() : async_out.status())
                         .ToString()
                         .c_str());
+        ++failed;
         continue;
       }
       const double tput_gain =
@@ -88,7 +91,7 @@ int Main() {
   std::printf(
       "paper: async gains 5.2%%-34.2%% tput (seq), 3.1%%-17.8%% (pipe);\n"
       "latency -5%%..-25.6%% (seq), -3.1%%..-15.2%% (pipe).\n");
-  return 0;
+  return ExitCode(failed);
 }
 
 }  // namespace

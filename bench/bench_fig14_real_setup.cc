@@ -40,6 +40,7 @@ int Main() {
   PrintRule();
 
   const int kBatches = 12;
+  int failed = 0;
   for (auto kind : graph::AllModels()) {
     graph::Graph model = graph::BuildModel(kind, BenchZooConfig());
     auto batches = MakeBatches(model, kBatches, 19);
@@ -51,6 +52,7 @@ int Main() {
       std::printf("%-16s offline failed: %s\n",
                   std::string(graph::ModelName(kind)).c_str(),
                   bundle.status().ToString().c_str());
+      ++failed;
       continue;
     }
 
@@ -65,6 +67,11 @@ int Main() {
         if (out.ok()) {
           tput[i] = Norm(out->throughput, base.throughput);
           lat[i] = Norm(out->mean_latency_ms, base.mean_latency_ms);
+        } else {
+          std::fprintf(stderr, "%s: run failed: %s\n",
+                       std::string(graph::ModelName(kind)).c_str(),
+                       out.status().ToString().c_str());
+          ++failed;
         }
         ++i;
       }
@@ -78,7 +85,7 @@ int Main() {
   std::printf(
       "paper: seq tput 0.4x-0.8x (1 MVX), 0.4x-0.6x (3 MVX); pipelined\n"
       "1.8x-3.1x (1 MVX) and 1.9x-2.1x (3 MVX) of the original model.\n");
-  return 0;
+  return ExitCode(failed);
 }
 
 }  // namespace

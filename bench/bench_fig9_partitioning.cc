@@ -25,6 +25,7 @@ int Main() {
   PrintRule();
 
   const int kBatches = 12;
+  int failed = 0;
   double seq_tput_min = 1e9, seq_tput_max = 0;
   double pipe_tput_min = 1e9, pipe_tput_max = 0;
   double pipe_lat_min = 1e9, pipe_lat_max = 0;
@@ -41,6 +42,7 @@ int Main() {
         std::printf("%-16s %5d | offline failed: %s\n",
                     std::string(graph::ModelName(kind)).c_str(), parts,
                     bundle.status().ToString().c_str());
+        ++failed;
         continue;
       }
       auto seq = RunMvtee(*bundle, setup, batches, /*pipelined=*/false);
@@ -48,6 +50,7 @@ int Main() {
       if (!seq.ok() || !pipe.ok()) {
         std::printf("%-16s %5d | run failed\n",
                     std::string(graph::ModelName(kind)).c_str(), parts);
+        ++failed;
         continue;
       }
       const double st = Norm(seq->throughput, base.throughput);
@@ -78,7 +81,7 @@ int Main() {
       "         pipelined latency %.2fx..%.2fx of baseline "
       "(paper: 0.16x..0.37x)\n",
       pipe_lat_min, pipe_lat_max);
-  return 0;
+  return ExitCode(failed);
 }
 
 }  // namespace

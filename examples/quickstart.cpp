@@ -62,8 +62,7 @@ int main() {
 
   // 5. Protected inference through the long-lived request API: start
   //    the request loop, open a session, submit one request and wait on
-  //    its future. (One-shot batch vectors still work through the
-  //    Run() compatibility wrapper.)
+  //    its future.
   util::Rng rng(1);
   auto input = tensor::Tensor::RandomUniform(
       tensor::Shape({1, 3, zoo.input_hw, zoo.input_hw}), rng);

@@ -11,7 +11,6 @@
 #include "obs/timeline.h"
 #include "util/clock.h"
 #include "util/knobs.h"
-#include "util/logging.h"
 
 namespace mvtee::core {
 
@@ -25,25 +24,19 @@ namespace internal {
 // of dangling.
 struct ServiceState {
   struct Item {
-    bool legacy = false;
     uint64_t session_id = 0;
     uint64_t seq = 0;
     // Monotone arrival ticket across all sessions: the scheduler's
     // FIFO reference (what EDF/priority "preempt").
     uint64_t ticket = 0;
-    // One batch for a session submit; the whole vector for a legacy
-    // Run() group.
-    std::vector<std::vector<Tensor>> batches;
-    RunOptions options;          // legacy groups only
-    int64_t deadline_abs_us = 0; // submits only; 0 = unbounded
+    std::vector<Tensor> inputs;   // one model-input batch
+    int64_t deadline_abs_us = 0;  // 0 = unbounded
     int64_t enqueue_us = 0;
-    // Scheduling metadata (submits only).
+    // Scheduling metadata.
     std::string tenant;
     int32_t priority = 0;
     std::string model;
-    std::promise<InferenceResponse> response;  // submits
-    std::promise<util::Result<std::vector<std::vector<Tensor>>>>
-        group_result;  // legacy groups
+    std::promise<InferenceResponse> response;
   };
 
   struct SessionInfo {
@@ -54,7 +47,6 @@ struct ServiceState {
   std::mutex mu;
   std::condition_variable cv;
   std::deque<Item> queue;
-  size_t queued_submits = 0;  // non-legacy items (the bounded part)
   bool accepting = false;
   size_t queue_max = 64;
   uint64_t next_session_id = 1;
@@ -187,10 +179,10 @@ util::Result<std::future<InferenceResponse>> Session::SubmitSequenced(
           "deadline_us " + std::to_string(request.deadline_us) +
           " already expired at submit (0 = no deadline)");
     }
-    if (st.queued_submits >= st.queue_max) {
+    if (st.queue.size() >= st.queue_max) {
       st.rejected_total->Add(1);
       return util::AdmissionRejected(
-          "admission queue full (" + std::to_string(st.queued_submits) +
+          "admission queue full (" + std::to_string(st.queue.size()) +
           " queued, max " + std::to_string(st.queue_max) + ")");
     }
 
@@ -205,11 +197,10 @@ util::Result<std::future<InferenceResponse>> Session::SubmitSequenced(
     item.tenant = std::move(request.tenant);
     item.priority = request.priority;
     item.model = std::move(request.model);
-    item.batches.push_back(std::move(request.inputs));
+    item.inputs = std::move(request.inputs);
     future = item.response.get_future();
     st.queue.push_back(std::move(item));
-    st.queued_submits += 1;
-    const auto depth = static_cast<int64_t>(st.queued_submits);
+    const auto depth = static_cast<int64_t>(st.queue.size());
     st.queue_depth->Set(depth);
     if (depth > st.queue_depth_hwm->value()) st.queue_depth_hwm->Set(depth);
     st.requests_total->Add(1);
@@ -749,7 +740,7 @@ Monitor::ServiceStatusSnapshot Monitor::ServiceStatus() {
   if (!state) return out;
   std::lock_guard<std::mutex> state_lock(state->mu);
   out.accepting = state->accepting;
-  out.queue_depth = state->queued_submits;
+  out.queue_depth = state->queue.size();
   out.queue_max = state->queue_max;
   out.sessions.reserve(state->sessions.size());
   for (const auto& [id, info] : state->sessions) {
@@ -764,7 +755,6 @@ void Monitor::ServiceLoop() {
   // times carry fairness memory across serving streams.
   BatchFormer former(service_config_.scheduler);
   for (;;) {
-    bool legacy_next = false;
     {
       std::unique_lock<std::mutex> lock(st.mu);
       st.cv.wait(lock, [&] { return !st.queue.empty() || !st.accepting; });
@@ -772,48 +762,23 @@ void Monitor::ServiceLoop() {
         // Drain: everything still queued fails fast instead of running
         // against a pipeline about to be reconfigured.
         while (!st.queue.empty()) {
-          internal::ServiceState::Item item = std::move(st.queue.front());
+          InferenceResponse response;
+          response.status = util::Unavailable("service stopped");
+          response.seq = st.queue.front().seq;
+          st.queue.front().response.set_value(std::move(response));
           st.queue.pop_front();
-          if (item.legacy) {
-            item.group_result.set_value(
-                util::Unavailable("service stopped"));
-          } else {
-            InferenceResponse response;
-            response.status = util::Unavailable("service stopped");
-            response.seq = item.seq;
-            item.response.set_value(std::move(response));
-          }
         }
-        st.queued_submits = 0;
         st.queue_depth->Set(0);
         return;
       }
-      legacy_next = st.queue.front().legacy;
     }
     m_.loop_heartbeat->Add(1);
 
-    if (legacy_next) {
-      // A legacy Run() vector travels alone as one exclusive classic
-      // pass (its options — sequential admission, deadlines, stats
-      // handle — are group-scoped).
-      internal::ServiceState::Item item;
-      {
-        std::lock_guard<std::mutex> lock(st.mu);
-        item = std::move(st.queue.front());
-        st.queue.pop_front();
-        st.groups_total->Add(1);
-      }
-      st.inflight->Set(static_cast<int64_t>(item.batches.size()));
-      item.group_result.set_value(RunStream(item.batches, item.options));
-      st.inflight->Set(0);
-      continue;
-    }
-
     // Continuous serving stream: the scheduler forms batches and the
-    // stream admits them as slots free, until the service stops, a
-    // legacy group reaches the queue head, or the queue runs dry. A
-    // stream error fails only that stream's in-flight requests; the
-    // loop then starts a fresh stream for whatever is still queued.
+    // stream admits them as slots free, until the service stops or the
+    // queue runs dry. A stream error fails only that stream's in-flight
+    // requests; the loop then starts a fresh stream for whatever is
+    // still queued.
     (void)ServeStream(former);
   }
 }
@@ -857,7 +822,11 @@ util::Status Monitor::ServeStream(BatchFormer& former) {
   feed.max_inflight = std::max<size_t>(1, sched.max_batch);
   feed.quiesce = [&] {
     std::lock_guard<std::mutex> lock(st.mu);
-    return !st.accepting || st.queue.empty() || st.queue.front().legacy;
+    return !st.accepting || st.queue.empty();
+  };
+  feed.stopping = [&] {
+    std::lock_guard<std::mutex> lock(st.mu);
+    return !st.accepting;
   };
   feed.next_wake_us = [&] { return window_recheck_us; };
   feed.refill = [&](size_t free_slots,
@@ -868,16 +837,14 @@ util::Status Monitor::ServeStream(BatchFormer& former) {
     if (!sched.continuous && !live.empty()) return 0;
     const int64_t now = util::NowMicros();
 
-    // Pull the submits ahead of any legacy barrier out of the queue;
-    // unpicked ones are put back in arrival order below.
+    // Pull every queued submit; unpicked ones are put back in arrival
+    // order below.
     std::vector<internal::ServiceState::Item> window;
     {
       std::lock_guard<std::mutex> lock(st.mu);
       if (!st.accepting) return 0;
-      while (!st.queue.empty() && !st.queue.front().legacy) {
-        window.push_back(std::move(st.queue.front()));
-        st.queue.pop_front();
-      }
+      for (auto& item : st.queue) window.push_back(std::move(item));
+      st.queue.clear();
     }
     if (window.empty()) return 0;
 
@@ -896,8 +863,7 @@ util::Status Monitor::ServeStream(BatchFormer& former) {
                false);
         continue;
       }
-      if (static_cast<int64_t>(item.batches.front().size()) !=
-          num_model_inputs_) {
+      if (static_cast<int64_t>(item.inputs.size()) != num_model_inputs_) {
         InferenceResponse response;
         response.status = util::InvalidArgument(
             "expected " + std::to_string(num_model_inputs_) +
@@ -933,26 +899,18 @@ util::Status Monitor::ServeStream(BatchFormer& former) {
     for (size_t i : plan.picks) {
       internal::ServiceState::Item& item = viable[i];
       ++inflight_per_tenant[item.tenant];
-      out->push_back(std::move(item.batches.front()));
+      out->push_back(std::move(item.inputs));
       live.emplace(next_index++, Pending{std::move(item), now});
     }
 
     // Put unpicked submits back at the queue head, original order.
-    size_t requeued = 0;
     {
       std::lock_guard<std::mutex> lock(st.mu);
       for (size_t i = viable.size(); i-- > 0;) {
-        if (picked[i]) continue;
-        st.queue.push_front(std::move(viable[i]));
-        ++requeued;
+        if (!picked[i]) st.queue.push_front(std::move(viable[i]));
       }
-      st.queued_submits = 0;
-      for (const auto& qi : st.queue) {
-        if (!qi.legacy) ++st.queued_submits;
-      }
-      st.queue_depth->Set(static_cast<int64_t>(st.queued_submits));
+      st.queue_depth->Set(static_cast<int64_t>(st.queue.size()));
     }
-    (void)requeued;
 
     if (!plan.picks.empty()) {
       st.groups_total->Add(1);
@@ -988,10 +946,7 @@ util::Status Monitor::ServeStream(BatchFormer& former) {
     st.inflight->Set(static_cast<int64_t>(live.size()));
   };
 
-  RunOptions options;
-  options.pipelined = true;
-  auto result = RunStream({}, options, &feed);
-  util::Status status = result.status();
+  const util::Status status = RunStream(feed);
 
   // A stream abort leaves admitted-but-unanswered requests: fail each
   // with the stream error (or its own deadline, when that is the
@@ -1018,42 +973,6 @@ util::Status Monitor::ServeStream(BatchFormer& former) {
   live.clear();
   st.inflight->Set(0);
   return status;
-}
-
-util::Result<std::vector<std::vector<Tensor>>> Monitor::Run(
-    const std::vector<std::vector<Tensor>>& batches,
-    const RunOptions& options) {
-  if (!initialized_) return util::FailedPrecondition("not initialized");
-  static std::once_flag deprecation_once;
-  std::call_once(deprecation_once, [] {
-    MVTEE_WLOG << "Monitor::Run(batches) is deprecated and will be removed "
-               << "next release; use OpenSession() + Session::Submit "
-               << "(migration table in README)";
-  });
-  MVTEE_RETURN_IF_ERROR(StartService(service_config_));
-  std::future<util::Result<std::vector<std::vector<Tensor>>>> future;
-  {
-    std::lock_guard<std::mutex> lock(service_->mu);
-    if (!service_->accepting) return util::Unavailable("service stopped");
-    internal::ServiceState::Item item;
-    item.legacy = true;
-    item.batches = batches;
-    item.options = options;
-    item.enqueue_us = util::NowMicros();
-    future = item.group_result.get_future();
-    service_->queue.push_back(std::move(item));
-  }
-  service_->cv.notify_one();
-  {
-    // Wake a parked serving stream so it quiesces for the legacy pass.
-    std::shared_ptr<transport::WaitSet> waker;
-    {
-      std::lock_guard<std::mutex> lock(service_->mu);
-      waker = service_->waker;
-    }
-    if (waker) waker->Notify();
-  }
-  return future.get();
 }
 
 void Monitor::DeactivateBinding(int32_t stage,
@@ -1088,43 +1007,20 @@ void Monitor::RebootstrapSlot(size_t stage, size_t vi) {
   supervisor_->FinishRebootstrap(stage, vi, ok, util::NowMicros());
 }
 
-util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
-    const std::vector<std::vector<Tensor>>& batches,
-    const RunOptions& options, StreamFeed* feed) {
-  const bool pipelined = options.pipelined;
+util::Status Monitor::RunStream(StreamFeed& feed) {
   if (!initialized_) return util::FailedPrecondition("not initialized");
-  const size_t num_batches = batches.size();
-  if (feed == nullptr) {
-    if (num_batches == 0) return std::vector<std::vector<Tensor>>{};
-    for (const auto& b : batches) {
-      if (static_cast<int64_t>(b.size()) != num_model_inputs_) {
-        return util::InvalidArgument("expected " +
-                                     std::to_string(num_model_inputs_) +
-                                     " model inputs per batch");
-      }
-    }
-  }
   const size_t num_stages = stages_.size();
-  // Feed mode allocates batch ids lazily, one per admitted request;
-  // RunStream calls are serialized on the service thread so the ids
-  // stay contiguous from `base`.
-  const uint64_t base = feed != nullptr
-                            ? next_batch_id_.load()
-                            : next_batch_id_.fetch_add(num_batches);
+  // Batch ids are allocated one per admitted request; RunStream calls
+  // are serialized on the service thread so the ids stay contiguous
+  // from `base`.
+  const uint64_t base = next_batch_id_.load();
   // One distributed trace per inference batch (DESIGN.md §8): the
   // monitor's admit/forward/verify spans and — via the authenticated
   // channel headers — every variant-side span share a batch's id.
-  std::vector<uint64_t> trace_ids(num_batches);
-  for (auto& t : trace_ids) t = obs::NewTraceId();
-  if (options.trace_ids != nullptr) *options.trace_ids = trace_ids;
-  const int64_t run_vstart = vclock_us_;
-  const int64_t wall_start = util::NowMicros();
-  obs::ScopedSpan run_span("monitor/run",
-                           {.tag = pipelined ? "pipelined" : "sequential"});
-  // This call's own statistics; merged into the metrics registry (and
-  // the ConsumeStats() backlog) when the run finishes.
-  RunStats rstats;
-  rstats.batch_verify_us.assign(num_batches, 0);  // grows per feed admit
+  std::vector<uint64_t> trace_ids;
+  // Cross-validation CPU per batch: the request's verify phase.
+  std::vector<int64_t> batch_verify_us;
+  obs::ScopedSpan run_span("monitor/run", {});
   auto channel_bytes = [&] {
     uint64_t total = 0;
     for (const auto& stage : stages_) {
@@ -1134,7 +1030,36 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
     }
     return total;
   };
-  const uint64_t bytes0 = channel_bytes();
+  // Counters accumulated since the last flush_stats(). They are merged
+  // into the registry (and the ConsumeStats() backlog) at every
+  // completion, so /metrics and ConsumeStats() reflect delivered work
+  // as soon as the requester's future resolves, and once more when the
+  // stream ends (even on error: partial work shows up in the dump).
+  RunStats rstats;
+  uint64_t bytes_flushed = channel_bytes();
+  auto flush_stats = [&] {
+    const uint64_t bytes = channel_bytes();
+    // A re-bootstrapped slot's fresh channel restarts its byte count.
+    if (bytes > bytes_flushed) m_.bytes_sent->Add(bytes - bytes_flushed);
+    bytes_flushed = bytes;
+    m_.wall_us->Add(static_cast<uint64_t>(rstats.wall_us));
+    m_.checkpoints_evaluated->Add(rstats.checkpoints_evaluated);
+    m_.fast_path_forwards->Add(rstats.fast_path_forwards);
+    m_.divergences->Add(rstats.divergences);
+    m_.late_divergences->Add(rstats.late_divergences);
+    m_.variant_failures->Add(rstats.variant_failures);
+    m_.batches_completed->Add(rstats.batch_latency_us.size());
+    for (int64_t lat : rstats.batch_latency_us) {
+      m_.batch_latency_us->Observe(lat);
+    }
+    {
+      std::lock_guard<std::mutex> lock(stats_mu_);
+      pending_latencies_.insert(pending_latencies_.end(),
+                                rstats.batch_latency_us.begin(),
+                                rstats.batch_latency_us.end());
+    }
+    rstats = RunStats{};
+  };
   // Virtual-time model of the monitor: admissions are serialized on the
   // monitor's ingestion clock (vclock_us_), but checkpoint decisions are
   // timed per flow — a decision happens at the latest virtual arrival of
@@ -1190,7 +1115,6 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
     std::set<size_t> verify_inflight;  // stages with a pool job running
     std::set<size_t> verify_dirty;     // reports arrived while in flight
     bool complete = false;
-    int64_t admit_vus = 0;  // virtual admission time
     // Panel membership, frozen per batch at admission: 0 = excluded
     // (quarantined / retired), 1 = voting, 2 = shadow (probation).
     // Mid-batch transitions only affect later batches' masks.
@@ -1209,7 +1133,6 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
   // Deque: pointer-stable across both the feed's push_back growth and
   // the sliding-window pop_front GC (workers hold BatchState*).
   std::deque<BatchState> bs;
-  if (feed == nullptr) bs.resize(num_batches);
   // Stream indices below window_base are completed, GC'd batches; live
   // state for batch b is bat(b).
   size_t window_base = 0;
@@ -1341,11 +1264,7 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
   util::Status run_error = util::OkStatus();
   size_t completed = 0;
   size_t admitted = 0;
-  // Pipelined latency is reported as steady-state time-per-result
-  // (inter-completion interval): the latency a streaming client observes
-  // per answer. Sequential latency is per-batch end-to-end. Both are in
-  // virtual time.
-  int64_t last_completion_vus = run_vstart;
+  int64_t last_completion_vus = vclock_us_;
 
   auto admit = [&](size_t b, const std::vector<Tensor>& inputs) {
     // Root of batch b's distributed trace; the span's context rides to
@@ -1363,7 +1282,6 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
     event_vbase = vclock_us_;
     handling_cpu0 = util::ThreadCpuMicros();
     send_cpu_excluded = 0;
-    bat(b).admit_vus = vnow();
     // Freeze panel membership for this batch: quarantined slots get no
     // inputs, probation slots shadow-execute.
     BatchState& bstate = bat(b);
@@ -1480,54 +1398,26 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
         }
       }
       if (vcomplete == 0) vcomplete = vnow();
-      rstats.batch_latency_us.push_back(
-          pipelined ? std::max<int64_t>(0, vcomplete - last_completion_vus)
-                    : vcomplete - state.admit_vus);
+      // Latency is steady-state time-per-result (the inter-completion
+      // interval, in virtual time): the latency a streaming client
+      // observes per answer. Its sum is the stream's wall time.
+      const int64_t latency =
+          std::max<int64_t>(0, vcomplete - last_completion_vus);
+      last_completion_vus += latency;
+      rstats.batch_latency_us.push_back(latency);
+      rstats.wall_us += latency;
       rstats.fast_path_forwards += silent_fast_stages;
-      last_completion_vus = std::max(last_completion_vus, vcomplete);
-      if (feed != nullptr) {
-        // Continuous streams are long-lived: merge accumulated counters
-        // into the registry at every completion (add-and-reset, the
-        // end-of-run flush adds the remainder), so /metrics and
-        // ConsumeStats() reflect delivered work without waiting for the
-        // stream to quiesce — a loaded stream may not quiesce for hours,
-        // and the requester's future resolves before the stream ends.
-        m_.checkpoints_evaluated->Add(rstats.checkpoints_evaluated);
-        m_.fast_path_forwards->Add(rstats.fast_path_forwards);
-        m_.divergences->Add(rstats.divergences);
-        m_.late_divergences->Add(rstats.late_divergences);
-        m_.variant_failures->Add(rstats.variant_failures);
-        m_.batches_completed->Add(rstats.batch_latency_us.size());
-        for (int64_t lat : rstats.batch_latency_us) {
-          m_.batch_latency_us->Observe(lat);
-        }
-        {
-          std::lock_guard<std::mutex> lock(stats_mu_);
-          pending_latencies_.insert(pending_latencies_.end(),
-                                    rstats.batch_latency_us.begin(),
-                                    rstats.batch_latency_us.end());
-        }
-        rstats.checkpoints_evaluated = 0;
-        rstats.fast_path_forwards = 0;
-        rstats.divergences = 0;
-        rstats.late_divergences = 0;
-        rstats.variant_failures = 0;
-        rstats.batch_latency_us.clear();
-        // Continuous delivery: the requester gets its answer the moment
-        // its batch completes — in-flight neighbors keep running.
-        std::vector<Tensor> outs;
-        for (const auto& src : model_outputs_) {
-          outs.push_back(state.chosen[static_cast<size_t>(src.stage)]
-                                     [static_cast<size_t>(src.index)]);
-        }
-        feed->deliver(b, std::move(outs), rstats.batch_verify_us[b],
-                      trace_ids[b]);
+      flush_stats();
+      // Continuous delivery: the requester gets its answer the moment
+      // its batch completes — in-flight neighbors keep running.
+      std::vector<Tensor> outs;
+      for (const auto& src : model_outputs_) {
+        outs.push_back(state.chosen[static_cast<size_t>(src.stage)]
+                                   [static_cast<size_t>(src.index)]);
       }
-      // Sequential pacing: the next admission can only happen after this
-      // completion is observed. The admission itself is deferred to the
-      // event loop (its own top-level event) — calling admit() here
-      // would clobber the virtual-time bases of the result event still
-      // being handled.
+      feed.deliver(b, std::move(outs), batch_verify_us[b], trace_ids[b]);
+      // A request admitted after this completion was observed starts
+      // after it on the monitor's clock.
       vclock_us_ = std::max(vclock_us_, vcomplete);
     }
   };
@@ -1540,7 +1430,7 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
     m_.verify_job_us->Observe(verify_cpu);
     m_.prefilter_hits->Add(cstats.prefilter_hits);
     m_.full_checks->Add(cstats.full_checks);
-    rstats.batch_verify_us[b] += verify_cpu;
+    batch_verify_us[b] += verify_cpu;
   };
 
   // The decision verdict is its own virtual-time event, parallel to
@@ -1919,7 +1809,7 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
 
   auto handle_result = [&](size_t s, size_t vi, InferResultMsg&& msg) {
     if (msg.batch_id < base + window_base ||
-        msg.batch_id >= base + (feed != nullptr ? admitted : num_batches)) {
+        msg.batch_id >= base + admitted) {
       return;  // stale frame: earlier (aborted) run, or a GC'd batch
     }
     const size_t b = static_cast<size_t>(msg.batch_id - base);
@@ -2099,29 +1989,39 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
     }
   };
 
-  // Admission. Feed mode starts empty: the loop's refill step admits.
-  if (feed == nullptr) {
-    if (pipelined) {
-      for (size_t b = 0; b < num_batches; ++b) admit(b, batches[b]);
-    } else {
-      admit(0, batches[0]);
+  // An async verdict commits at quorum, so a completed batch may still
+  // be owed a report by a live voting slot. That straggler report is
+  // cross-validated against the accepted outputs (late divergence), so
+  // the batch's state is kept until it arrives.
+  auto owes_reports = [&](const BatchState& state) {
+    for (const auto& [s, panel] : state.reports) {
+      for (size_t vi = 0; vi < panel.size(); ++vi) {
+        if (!panel[vi] && state.masks[s][vi] == 1 &&
+            (!supervised || supervisor_->ChannelLive(s, vi))) {
+          return true;
+        }
+      }
     }
-  }
+    return false;
+  };
+  auto stragglers_owed = [&] {
+    return std::any_of(bs.begin(), bs.end(), [&](const BatchState& state) {
+      return state.complete && owes_reports(state);
+    });
+  };
 
-  // Evented loop: drain completed verify verdicts, run any deferred
-  // sequential admission (or feed refill), poll every variant channel
-  // without blocking, then — only if nothing happened — block on the
-  // shared wait set until a frame lands or a verify job completes. A
-  // one-shot run is done when every batch completed AND the verify
-  // pool drained (pending verdicts still carry stats); a feed stream
-  // additionally keeps serving until the feed quiesces.
+  // Evented loop: drain completed verify verdicts, refill free
+  // pipeline slots from the feed, poll every variant channel without
+  // blocking, then — only if nothing happened — block on the shared
+  // wait set until a frame lands or a verify job completes. The stream
+  // starts empty and ends once every admitted batch completed, the
+  // verify pool drained (pending verdicts still carry stats) and the
+  // feed quiesced. An idle stream lingers for owed straggler reports
+  // (at most recv_timeout of silence), but not once the service stops.
   int64_t idle_deadline = util::NowMicros() + config_.recv_timeout_us;
   auto work_remains = [&] {
-    if (feed != nullptr) {
-      return completed < admitted || pool.pending() > 0 ||
-             !feed->quiesce();
-    }
-    return completed < num_batches || pool.pending() > 0;
+    return completed < admitted || pool.pending() > 0 || !feed.quiesce() ||
+           (!feed.stopping() && stragglers_owed());
   };
   while (work_remains() && run_error.ok()) {
     // Liveness beacon for the stall watchdog: the loop either makes
@@ -2129,14 +2029,6 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
     // healthy loop beats continuously while work is pending.
     m_.loop_heartbeat->Add(1);
     if (config_.loop_tick_hook) config_.loop_tick_hook();
-    if (options.deadline_us > 0 &&
-        util::NowMicros() - wall_start > options.deadline_us) {
-      run_error = util::DeadlineExceeded(
-          "run deadline of " + std::to_string(options.deadline_us) +
-          "us exceeded (" + std::to_string(completed) + "/" +
-          std::to_string(num_batches) + " batches complete)");
-      break;
-    }
     // Epoch snapshot BEFORE polling: an event landing after the
     // snapshot advances the epoch, so the wait below returns
     // immediately instead of losing the wakeup.
@@ -2155,42 +2047,35 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
       m_.verify_queue_depth_hwm->Set(qdepth);
     }
 
-    // 1b) Sliding-window GC (feed mode): a completed batch's state is
-    //     reclaimed once no verify job can still read it. Late frames
-    //     for reclaimed ids are dropped by handle_result's guard.
-    while (feed != nullptr && !bs.empty() && bs.front().complete &&
-           bs.front().jobs_inflight == 0) {
+    // 1b) Sliding-window GC: a completed batch's state is reclaimed
+    //     once no verify job can still read it and no straggler owes
+    //     it a report; past max_inflight retained batches the oldest
+    //     one's straggler is abandoned, so a backlogged variant cannot
+    //     grow the window. Late frames for reclaimed ids are dropped by
+    //     handle_result's guard.
+    while (!bs.empty() && bs.front().complete &&
+           bs.front().jobs_inflight == 0 &&
+           (bs.size() > 2 * feed.max_inflight || !owes_reports(bs.front()))) {
       bs.pop_front();
       ++window_base;
     }
 
-    // 2) Deferred sequential admission: its own top-level event (never
-    //    nested inside the result event that completed the previous
-    //    batch — that would clobber the virtual-time bases).
-    if (feed == nullptr && !pipelined && run_error.ok() &&
-        admitted < num_batches && completed == admitted) {
-      admit(admitted, batches[admitted]);
-      progressed = true;
-    }
-
-    // 2a) Feed refill: continuous admission — pull scheduler-formed
-    //     work into every free pipeline slot (its own top-level
-    //     virtual-time event per admission, like 2).
-    if (feed != nullptr && run_error.ok()) {
-      const size_t inflight = admitted - completed;
-      if (inflight < feed->max_inflight) {
-        std::vector<std::vector<Tensor>> fresh;
-        const size_t got =
-            feed->refill(feed->max_inflight - inflight, &fresh);
-        for (size_t i = 0; i < got; ++i) {
-          (void)next_batch_id_.fetch_add(1);  // == base + admitted
-          const size_t b = admitted;          // admit() advances it
-          bs.emplace_back();
-          trace_ids.push_back(obs::NewTraceId());
-          rstats.batch_verify_us.push_back(0);
-          admit(b, fresh[i]);
-          progressed = true;
-        }
+    // 2) Refill: continuous admission — pull scheduler-formed work into
+    //    every free pipeline slot. Each admission is its own top-level
+    //    virtual-time event (never nested inside the result event that
+    //    completed a batch — that would clobber the virtual-time bases).
+    if (run_error.ok() && admitted - completed < feed.max_inflight) {
+      std::vector<std::vector<Tensor>> fresh;
+      const size_t got =
+          feed.refill(feed.max_inflight - (admitted - completed), &fresh);
+      for (size_t i = 0; i < got; ++i) {
+        (void)next_batch_id_.fetch_add(1);  // == base + admitted
+        const size_t b = admitted;          // admit() advances it
+        bs.emplace_back();
+        trace_ids.push_back(obs::NewTraceId());
+        batch_verify_us.push_back(0);
+        admit(b, fresh[i]);
+        progressed = true;
       }
     }
 
@@ -2272,13 +2157,15 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
       idle_deadline = util::NowMicros() + config_.recv_timeout_us;
     } else if (run_error.ok()) {
       const int64_t now = util::NowMicros();
-      if (feed != nullptr && completed == admitted &&
-          pool.pending() == 0) {
+      const bool drained = completed == admitted && pool.pending() == 0;
+      if (drained && !stragglers_owed()) {
         // An idle stream owes nothing: waiting for work is not a
         // variant stall.
         idle_deadline = now + config_.recv_timeout_us;
       }
       if (now > idle_deadline) {
+        // Only stragglers are owed: stop waiting for them.
+        if (drained) break;
         // A silent variant must not fail the whole batch while the
         // remaining panel can still satisfy the vote policy: classify
         // the expiry as per-slot variant failures on every owed voting
@@ -2328,21 +2215,15 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
         }
         run_error = util::DeadlineExceeded(
             "no variant progress within recv_timeout (" +
-            std::to_string(completed) + "/" +
-            std::to_string(feed != nullptr ? admitted : num_batches) +
+            std::to_string(completed) + "/" + std::to_string(admitted) +
             " batches complete)");
         break;
       }
       int64_t slice = idle_deadline - now;
-      if (options.deadline_us > 0) {
-        slice = std::min(slice, options.deadline_us - (now - wall_start));
-      }
-      if (feed != nullptr) {
-        // Wake early for a batch-window expiry so held admissions are
-        // re-examined on time.
-        const int64_t wake = feed->next_wake_us();
-        if (wake > 0) slice = std::min(slice, wake - now);
-      }
+      // Wake early for a batch-window expiry so held admissions are
+      // re-examined on time.
+      const int64_t wake = feed.next_wake_us();
+      if (wake > 0) slice = std::min(slice, wake - now);
       // Bounded so deadline checks stay live even without events.
       slice = std::max<int64_t>(1, std::min<int64_t>(slice, 100'000));
       const int64_t wait0 = util::NowMicros();
@@ -2374,43 +2255,9 @@ util::Result<std::vector<std::vector<Tensor>>> Monitor::RunStream(
                   "variant lifecycle events (run completed)");
   }
 
-  // Merge this run into the registry (even on error: partial work shows
-  // up in the dump) and into the ConsumeStats() backlog.
-  rstats.wall_us = std::max<int64_t>(1, last_completion_vus - run_vstart);
-  rstats.bytes_sent = channel_bytes() - bytes0;
-  m_.wall_us->Add(static_cast<uint64_t>(rstats.wall_us));
-  m_.checkpoints_evaluated->Add(rstats.checkpoints_evaluated);
-  m_.fast_path_forwards->Add(rstats.fast_path_forwards);
-  m_.divergences->Add(rstats.divergences);
-  m_.late_divergences->Add(rstats.late_divergences);
-  m_.variant_failures->Add(rstats.variant_failures);
-  m_.bytes_sent->Add(rstats.bytes_sent);
-  m_.batches_completed->Add(rstats.batch_latency_us.size());
-  for (int64_t lat : rstats.batch_latency_us) {
-    m_.batch_latency_us->Observe(lat);
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    pending_latencies_.insert(pending_latencies_.end(),
-                              rstats.batch_latency_us.begin(),
-                              rstats.batch_latency_us.end());
-  }
-  if (options.stats != nullptr) *options.stats = rstats;
-
-  MVTEE_RETURN_IF_ERROR(run_error);
-
-  // Feed-mode results were delivered per batch as they completed.
-  if (feed != nullptr) return std::vector<std::vector<Tensor>>{};
-
-  std::vector<std::vector<Tensor>> all(num_batches);
-  for (size_t b = 0; b < num_batches; ++b) {
-    for (const auto& src : model_outputs_) {
-      all[b].push_back(
-          bat(b).chosen[static_cast<size_t>(src.stage)]
-              [static_cast<size_t>(src.index)]);
-    }
-  }
-  return all;
+  flush_stats();
+  // Results were delivered per batch as they completed.
+  return run_error;
 }
 
 util::Status Monitor::Shutdown() {

@@ -14,7 +14,8 @@
 //    entirely (`direct_fastpath`);
 //  - selective MVX (vertical/horizontal scaling of the MVX config);
 //  - sync and asynchronous cross-validation execution modes (Fig. 8);
-//  - sequential and pipelined batch execution;
+//  - a long-lived request loop that streams session submits through
+//    the pipeline (one pipeline slot per in-flight request);
 //  - divergence reaction (ReactionPolicy: abort, continue-with-winner,
 //    or quarantine + attested re-bootstrap via the lifecycle
 //    supervisor) and statistics.
@@ -124,10 +125,6 @@ struct MvxSelection {
 struct RunStats {
   int64_t wall_us = 0;
   std::vector<int64_t> batch_latency_us;
-  // Cross-validation CPU attributed per batch (admission order, one
-  // slot per batch of the run). Feeds the per-request verify phase of
-  // the latency breakdown; not part of ConsumeStats deltas.
-  std::vector<int64_t> batch_verify_us;
   uint64_t checkpoints_evaluated = 0;  // slow-path votes
   uint64_t fast_path_forwards = 0;     // unverified stage traversals
   uint64_t divergences = 0;            // dissent observed at a checkpoint
@@ -149,36 +146,12 @@ struct RunStats {
   }
 };
 
-// Per-call options for Monitor::Run — the batch-vector compatibility
-// wrapper over the long-lived request loop (see Session below).
-struct RunOptions {
-  // false: batches admitted strictly one after another (next admitted
-  // only once the previous completed). true: all batches streamed
-  // through the pipeline simultaneously.
-  bool pipelined = false;
-  // Per-call wall-clock budget for the whole run, microseconds. 0 =
-  // unbounded (the config's idle recv_timeout_us still applies either
-  // way). Exceeding it fails the run with kDeadlineExceeded.
-  int64_t deadline_us = 0;
-  // Optional stats-snapshot handle: filled with this call's own stats
-  // (a per-run delta) without consuming the monitor's cumulative
-  // stats — ConsumeStats() is unaffected.
-  RunStats* stats = nullptr;
-  // Optional out-param: the distributed-trace id minted for each batch
-  // (admission order). Lets the request loop hand trace-id exemplars
-  // back to per-request timelines.
-  std::vector<uint64_t>* trace_ids = nullptr;
-};
-
 // ---- long-lived request API (service front end, DESIGN.md §11) ----
 //
 // The monitor's execution engine is driven by a single service loop:
 // clients open Sessions and Submit individual requests; the loop admits
-// queued requests in coalesced pipelined groups through the MVX
-// pipeline. Monitor::Run(batches) is a thin compatibility wrapper that
-// opens an internal session, submits the whole batch vector as one
-// admission group, and drains it — byte-identical semantics to the old
-// one-shot entry point.
+// queued requests into free pipeline slots of the MVX pipeline. This
+// is the monitor's only execution path.
 
 // One inference request: a single model-input batch plus scheduling
 // metadata (tenant / priority / model routing) and an optional
@@ -197,12 +170,12 @@ struct InferenceRequest {
   // scheduling hint: it never enters the attested channel's AAD and
   // grants no authority (DESIGN.md §13). "" schedules as one shared
   // tenant.
-  std::string tenant;
+  std::string tenant = {};
   // Higher dispatches earlier among equal-deadline work.
   int32_t priority = 0;
   // Model-zoo routing key for multi-model front ends
   // (service::Scheduler); ignored by a single-model Monitor.
-  std::string model;
+  std::string model = {};
 };
 
 struct InferenceResponse {
@@ -224,8 +197,7 @@ struct InferenceResponse {
 struct ServiceConfig {
   // Submissions queued beyond this bound are rejected with
   // kAdmissionRejected (bounded backpressure; counted in
-  // service.rejected_total). Legacy Run() groups are exempt — they
-  // carry their own caller-side flow control.
+  // service.rejected_total).
   size_t admission_queue_max = 64;
   // Batch formation: continuous admission, max concurrent pipeline
   // slots, batch window, per-tenant quota/weights, EDF.
@@ -303,8 +275,12 @@ class Monitor {
                           const MvxSelection& selection, VariantHost& host);
 
   // Starts the long-lived request loop (idempotent; requires an
-  // initialized monitor). Run() and OpenSession() start it lazily with
-  // a default ServiceConfig when needed.
+  // initialized monitor). Nothing starts it implicitly: OpenSession()
+  // fails with kFailedPrecondition until it runs.
+  //
+  // StartService/StopService/OpenSession are control-plane calls: drive
+  // them from one thread. Session::Submit on open sessions is safe from
+  // any thread.
   util::Status StartService(const ServiceConfig& config = ServiceConfig{});
 
   // Stops the request loop: still-queued requests fail with
@@ -317,28 +293,6 @@ class Monitor {
   // stopped service (their Submits then fail with kUnavailable).
   util::Result<std::unique_ptr<Session>> OpenSession();
 
-  // DEPRECATED compatibility wrapper over the request loop — use
-  // OpenSession() + Session::Submit instead (README has the old→new
-  // migration table). Kept one release for existing callers; new code
-  // and all in-tree examples/benches use the session API.
-  //
-  // Opens an internal session, submits `batches` as ONE admission
-  // group executed exactly like the old one-shot call (same options,
-  // same stats), and drains.
-  //
-  //   Run({inputs})                                  — one batch
-  //   Run(batches)                                   — sequential: each
-  //     batch admitted only once the previous one completed
-  //   Run(batches, RunOptions{.pipelined = true})    — all batches
-  //     streamed through the pipeline simultaneously
-  //
-  // StartService/StopService/OpenSession/Run are control-plane calls:
-  // drive them from one thread. Session::Submit on open sessions is
-  // safe from any thread.
-  util::Result<std::vector<std::vector<tensor::Tensor>>> Run(
-      const std::vector<std::vector<tensor::Tensor>>& batches,
-      const RunOptions& options = RunOptions{});
-
   util::Status Shutdown();
 
   // Point-in-time view of the request loop, served read-only by the
@@ -347,7 +301,7 @@ class Monitor {
   struct ServiceStatusSnapshot {
     bool running = false;    // loop thread alive
     bool accepting = false;  // admitting new submits
-    size_t queue_depth = 0;  // queued (non-legacy) submits
+    size_t queue_depth = 0;  // queued submits
     size_t queue_max = 0;
     size_t max_batch = 0;    // concurrent pipeline slots (scheduler)
     // Scheduler policy in force (for /status).
@@ -443,12 +397,11 @@ class Monitor {
   // failed Initialize/UpdateStage.
   void RetireVariant(int32_t stage, VariantConn& conn);
 
-  // Continuous-feed hooks for RunStream: when non-null, the stream
-  // starts empty and pulls work from the feed whenever a pipeline slot
-  // frees, delivering each batch's result as soon as it completes (no
-  // full-queue barrier). Completed batch state is garbage-collected
-  // behind a sliding window. Legacy Run() passes run with feed ==
-  // nullptr and keep their one-shot semantics.
+  // Continuous-feed hooks for RunStream: the stream starts empty and
+  // pulls work from the feed whenever a pipeline slot frees, delivering
+  // each batch's result as soon as it completes (no full-queue
+  // barrier). Completed batch state is garbage-collected behind a
+  // sliding window.
   struct StreamFeed {
     // Concurrent pipeline slots (SchedulerConfig::max_batch).
     size_t max_inflight = 1;
@@ -464,29 +417,30 @@ class Monitor {
                        int64_t verify_us, uint64_t trace_id)>
         deliver;
     // True once the stream should stop pulling and return when the
-    // last inflight batch drains (service stopping, legacy group at
-    // the queue head, or the queue went idle).
+    // last inflight batch drains (service stopping, or the queue went
+    // idle).
     std::function<bool()> quiesce;
+    // True while the service stops: the stream then returns without
+    // waiting for straggler reports.
+    std::function<bool()> stopping;
     // Earliest absolute wall time the feed wants a refill poll (batch
     // window expiry); 0 = none.
     std::function<int64_t()> next_wake_us;
   };
 
-  // The event-driven engine behind the request loop: one admission
-  // group = one call (feed == nullptr), or one long-lived continuous
-  // serving stream (feed != nullptr).
-  util::Result<std::vector<std::vector<tensor::Tensor>>> RunStream(
-      const std::vector<std::vector<tensor::Tensor>>& batches,
-      const RunOptions& options, StreamFeed* feed = nullptr);
+  // The event-driven engine behind the request loop: one continuous
+  // serving stream, fed and answered through `feed`. Returns the
+  // stream's terminal status.
+  util::Status RunStream(StreamFeed& feed);
 
   // The request loop body (service thread): runs continuous serving
   // streams (scheduler-formed batches through RunStream's feed hooks)
-  // and interleaves exclusive legacy Run() passes.
+  // whenever submits are queued.
   void ServiceLoop();
 
   // One continuous serving stream: admits scheduler-formed requests
-  // until quiesced (stop / legacy barrier / idle queue). Returns the
-  // stream's terminal status (OK on a clean quiesce).
+  // until quiesced (stop / idle queue). Returns the stream's terminal
+  // status (OK on a clean quiesce).
   util::Status ServeStream(BatchFormer& former);
 
   // Resolves the monitor-level and per-stage metric instruments.

@@ -54,6 +54,9 @@ util::Result<CampaignReport> RunVulnerabilityCampaign(
       auto reference,
       runtime::Executor::Create(model, runtime::ReferenceExecutorConfig()));
 
+  MVTEE_RETURN_IF_ERROR(monitor->StartService());
+  MVTEE_ASSIGN_OR_RETURN(auto session, monitor->OpenSession());
+
   CampaignReport report;
   report.cls = options.cls;
 
@@ -65,23 +68,25 @@ util::Result<CampaignReport> RunVulnerabilityCampaign(
       inputs.push_back(
           Tensor::RandomUniform(model.input_shape(in), rng, -1.0f, 1.0f));
     }
-    auto out = monitor->Run({inputs});
-    if (out.ok()) {
+    MVTEE_ASSIGN_OR_RETURN(auto pending, session->Submit({inputs}));
+    const core::InferenceResponse out = pending.get();
+    if (out.status.ok()) {
       ++completed;
       MVTEE_ASSIGN_OR_RETURN(auto expected, reference->Run(inputs));
       for (size_t i = 0; i < expected.size(); ++i) {
-        if (tensor::CosineSimilarity((*out)[0][i], expected[i]) < 0.99) {
+        if (tensor::CosineSimilarity(out.outputs[i], expected[i]) < 0.99) {
           report.wrong_output_released = true;
         }
       }
-    } else if (out.status().code() ==
-               util::StatusCode::kDivergenceDetected) {
+    } else if (out.status.code() == util::StatusCode::kDivergenceDetected) {
       report.detected = true;
     } else {
-      return out.status();  // infrastructure error, not part of the game
+      return out.status;  // infrastructure error, not part of the game
     }
   }
 
+  // Stopping joins the last serving stream, so every counter is flushed.
+  monitor->StopService();
   auto stats = monitor->ConsumeStats();
   report.divergences = stats.divergences;
   report.variant_failures = stats.variant_failures;
@@ -134,6 +139,9 @@ util::Result<LifecycleCampaignReport> RunLifecycleCampaign(
       auto reference,
       runtime::Executor::Create(model, runtime::ReferenceExecutorConfig()));
 
+  MVTEE_RETURN_IF_ERROR(monitor->StartService());
+  MVTEE_ASSIGN_OR_RETURN(auto session, monitor->OpenSession());
+
   LifecycleCampaignReport report;
   util::Rng rng(options.seed + 29);
   for (int b = 0; b < options.num_batches; ++b) {
@@ -142,24 +150,26 @@ util::Result<LifecycleCampaignReport> RunLifecycleCampaign(
       inputs.push_back(
           Tensor::RandomUniform(model.input_shape(in), rng, -1.0f, 1.0f));
     }
-    // One batch per Run call: the supervisor's quarantine/rebootstrap/
-    // probation machinery spans calls (it lives on the monitor), and the
-    // per-call verdict tells us exactly which batch aborted, if any.
-    auto out = monitor->Run({inputs});
-    if (!out.ok()) {
+    // One request at a time: the supervisor's quarantine/rebootstrap/
+    // probation machinery spans requests (it lives on the monitor), and
+    // each response tells us exactly which batch aborted, if any.
+    MVTEE_ASSIGN_OR_RETURN(auto pending, session->Submit({inputs}));
+    const core::InferenceResponse out = pending.get();
+    if (!out.status.ok()) {
       report.aborted = true;
-      report.abort_message = out.status().ToString();
+      report.abort_message = out.status.ToString();
       continue;
     }
     ++report.completed_batches;
     MVTEE_ASSIGN_OR_RETURN(auto expected, reference->Run(inputs));
     for (size_t i = 0; i < expected.size(); ++i) {
-      if (tensor::CosineSimilarity((*out)[0][i], expected[i]) < 0.99) {
+      if (tensor::CosineSimilarity(out.outputs[i], expected[i]) < 0.99) {
         report.wrong_output_released = true;
       }
     }
   }
 
+  monitor->StopService();  // the supervisor is read off the loop thread
   if (const core::Supervisor* sup = monitor->supervisor()) {
     report.quarantines = sup->quarantines_total();
     report.readmissions = sup->readmissions_total();

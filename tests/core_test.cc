@@ -12,6 +12,7 @@
 #include "core/variant_host.h"
 #include "graph/builder.h"
 #include "runtime/executor.h"
+#include "serve_helpers.h"
 
 
 namespace mvtee::core {
@@ -23,15 +24,6 @@ using graph::NodeId;
 using tensor::MaxAbsDiff;
 using tensor::Shape;
 using tensor::Tensor;
-
-// One-batch convenience over the unified Run() surface (replaces the
-// removed RunBatch wrapper): returns the single batch's outputs.
-util::Result<std::vector<Tensor>> RunOne(Monitor& m,
-                                         const std::vector<Tensor>& inputs) {
-  auto all = m.Run({inputs});
-  if (!all.ok()) return all.status();
-  return std::move((*all)[0]);
-}
 
 // --------------------------------------------------------- consistency
 
@@ -317,7 +309,7 @@ TEST_F(MvteeSystemTest, SingleVariantFastPathMatchesReference) {
   Boot(3, 1, MonitorConfig{});
   util::Rng rng(1);
   auto input = Tensor::RandomUniform(Shape({1, 3, 16, 16}), rng);
-  auto out = RunOne(*monitor_, {input});
+  auto out = ServeOne(*monitor_, {input});
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   auto expected = ReferenceRun({input});
   ASSERT_EQ(out->size(), 1u);
@@ -333,7 +325,7 @@ TEST_F(MvteeSystemTest, MultiVariantSlowPathMatchesReference) {
   Boot(3, 3, MonitorConfig{});
   util::Rng rng(2);
   auto input = Tensor::RandomUniform(Shape({1, 3, 16, 16}), rng);
-  auto out = RunOne(*monitor_, {input});
+  auto out = ServeOne(*monitor_, {input});
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   auto expected = ReferenceRun({input});
   EXPECT_GT(tensor::CosineSimilarity((*out)[0], expected[0]), 0.999);
@@ -351,7 +343,7 @@ TEST_F(MvteeSystemTest, SequentialMultipleBatches) {
   for (int i = 0; i < 4; ++i) {
     batches.push_back({Tensor::RandomUniform(Shape({1, 3, 16, 16}), rng)});
   }
-  auto outs = monitor_->Run(batches);
+  auto outs = Serve(*monitor_, batches);
   ASSERT_TRUE(outs.ok()) << outs.status().ToString();
   ASSERT_EQ(outs->size(), 4u);
   for (size_t i = 0; i < 4; ++i) {
@@ -371,7 +363,7 @@ TEST_F(MvteeSystemTest, PipelinedMatchesSequential) {
   for (int i = 0; i < 6; ++i) {
     batches.push_back({Tensor::RandomUniform(Shape({1, 3, 16, 16}), rng)});
   }
-  auto pipelined = monitor_->Run(batches, RunOptions{.pipelined = true});
+  auto pipelined = Serve(*monitor_, batches, /*pipelined=*/true);
   ASSERT_TRUE(pipelined.ok()) << pipelined.status().ToString();
   ASSERT_EQ(pipelined->size(), 6u);
   for (size_t i = 0; i < 6; ++i) {
@@ -384,7 +376,7 @@ TEST_F(MvteeSystemTest, PipelinedMatchesSequential) {
 TEST_F(MvteeSystemTest, SelectiveMvxPerStageCounts) {
   Boot(3, 1, MonitorConfig{}, VariantHost::Options{}, {1, 3, 1});
   util::Rng rng(5);
-  auto out = RunOne(*monitor_, 
+  auto out = ServeOne(*monitor_,
       {Tensor::RandomUniform(Shape({1, 3, 16, 16}), rng)});
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   auto stats = monitor_->ConsumeStats();
@@ -416,7 +408,7 @@ TEST_F(MvteeSystemTest, DetectsCorruptedVariant) {
           .ok());
 
   util::Rng rng(6);
-  auto out = RunOne(*monitor_, 
+  auto out = ServeOne(*monitor_,
       {Tensor::RandomUniform(Shape({1, 3, 16, 16}), rng)});
   EXPECT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), util::StatusCode::kDivergenceDetected);
@@ -449,7 +441,7 @@ TEST_F(MvteeSystemTest, MajorityVoteSurvivesCorruptedMinority) {
 
   util::Rng rng(7);
   auto input = Tensor::RandomUniform(Shape({1, 3, 16, 16}), rng);
-  auto out = RunOne(*monitor_, {input});
+  auto out = ServeOne(*monitor_, {input});
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   // Output must match the healthy majority, not the corrupted variant.
   auto expected = ReferenceRun({input});
@@ -486,7 +478,7 @@ TEST_F(MvteeSystemTest, DetectsCrashingVariant) {
           .ok());
 
   util::Rng rng(8);
-  auto out = RunOne(*monitor_, 
+  auto out = ServeOne(*monitor_,
       {Tensor::RandomUniform(Shape({1, 3, 16, 16}), rng)});
   ASSERT_TRUE(out.ok()) << out.status().ToString();  // majority survives
   auto stats = monitor_->ConsumeStats();
@@ -505,7 +497,7 @@ TEST_F(MvteeSystemTest, AsyncModeProducesSameResults) {
   for (int i = 0; i < 4; ++i) {
     batches.push_back({Tensor::RandomUniform(Shape({1, 3, 16, 16}), rng)});
   }
-  auto outs = monitor_->Run(batches);
+  auto outs = Serve(*monitor_, batches);
   ASSERT_TRUE(outs.ok()) << outs.status().ToString();
   for (size_t i = 0; i < batches.size(); ++i) {
     auto expected = ReferenceRun(batches[i]);
@@ -519,7 +511,7 @@ TEST_F(MvteeSystemTest, PlaintextChannelsWork) {
   Boot(3, 3, MonitorConfig{}, host_opts);
   util::Rng rng(10);
   auto input = Tensor::RandomUniform(Shape({1, 3, 16, 16}), rng);
-  auto out = RunOne(*monitor_, {input});
+  auto out = ServeOne(*monitor_, {input});
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   auto expected = ReferenceRun({input});
   EXPECT_GT(tensor::CosineSimilarity((*out)[0], expected[0]), 0.999);
@@ -529,13 +521,13 @@ TEST_F(MvteeSystemTest, PartialUpdateReplacesStageVariants) {
   Boot(3, 2, MonitorConfig{});
   util::Rng rng(11);
   auto input = Tensor::RandomUniform(Shape({1, 3, 16, 16}), rng);
-  ASSERT_TRUE(RunOne(*monitor_, {input}).ok());
+  ASSERT_TRUE(ServeOne(*monitor_, {input}).ok());
 
   // Swap stage 1 to a different pair of pool variants.
   auto status = monitor_->UpdateStage(bundle_, *host_, 1,
                                       {"s1.v2", "s1.v3"});
   ASSERT_TRUE(status.ok()) << status.ToString();
-  auto out = RunOne(*monitor_, {input});
+  auto out = ServeOne(*monitor_, {input});
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   auto expected = ReferenceRun({input});
   EXPECT_GT(tensor::CosineSimilarity((*out)[0], expected[0]), 0.999);
@@ -555,7 +547,7 @@ TEST_F(MvteeSystemTest, FullUpdateRebindsEverything) {
       bundle_, MvxSelection::Uniform(bundle_, 3), *host_);
   ASSERT_TRUE(status.ok()) << status.ToString();
   util::Rng rng(12);
-  auto out = RunOne(*monitor_, 
+  auto out = ServeOne(*monitor_,
       {Tensor::RandomUniform(Shape({1, 3, 16, 16}), rng)});
   ASSERT_TRUE(out.ok()) << out.status().ToString();
 }
@@ -603,7 +595,7 @@ TEST_F(MvteeSystemTest, DirectFastPathMatchesReference) {
   Boot(3, 1, cfg);
   util::Rng rng(13);
   auto input = Tensor::RandomUniform(Shape({1, 3, 16, 16}), rng);
-  auto out = RunOne(*monitor_, {input});
+  auto out = ServeOne(*monitor_, {input});
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   auto expected = ReferenceRun({input});
   EXPECT_LT(MaxAbsDiff((*out)[0], expected[0]), 1e-3);
@@ -619,7 +611,7 @@ TEST_F(MvteeSystemTest, DirectFastPathWithMvxStage) {
   Boot(3, 1, cfg, VariantHost::Options{}, {1, 3, 1});
   util::Rng rng(14);
   auto input = Tensor::RandomUniform(Shape({1, 3, 16, 16}), rng);
-  auto out = RunOne(*monitor_, {input});
+  auto out = ServeOne(*monitor_, {input});
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   auto expected = ReferenceRun({input});
   EXPECT_GT(tensor::CosineSimilarity((*out)[0], expected[0]), 0.999);
@@ -637,7 +629,7 @@ TEST_F(MvteeSystemTest, DirectFastPathPipelined) {
   for (int i = 0; i < 5; ++i) {
     batches.push_back({Tensor::RandomUniform(Shape({1, 3, 16, 16}), rng)});
   }
-  auto outs = monitor_->Run(batches, RunOptions{.pipelined = true});
+  auto outs = Serve(*monitor_, batches, /*pipelined=*/true);
   ASSERT_TRUE(outs.ok()) << outs.status().ToString();
   for (size_t i = 0; i < batches.size(); ++i) {
     auto expected = ReferenceRun(batches[i]);
@@ -668,7 +660,7 @@ TEST_F(MvteeSystemTest, DirectFastPathDetectsCorruption) {
                                    *host_)
                   .ok());
   util::Rng rng(16);
-  auto out = RunOne(*monitor_, 
+  auto out = ServeOne(*monitor_,
       {Tensor::RandomUniform(Shape({1, 3, 16, 16}), rng)});
   EXPECT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), util::StatusCode::kDivergenceDetected);
@@ -742,7 +734,7 @@ TEST_F(MvteeSystemTest, BuilderSelectionRunsEndToEnd) {
 
   util::Rng rng(20);
   auto input = Tensor::RandomUniform(Shape({1, 3, 16, 16}), rng);
-  auto out = monitor_->Run({{input}});
+  auto out = Serve(*monitor_, {{input}});
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   auto expected = ReferenceRun({input});
   EXPECT_GT(tensor::CosineSimilarity((*out)[0][0], expected[0]), 0.999);
@@ -751,7 +743,7 @@ TEST_F(MvteeSystemTest, BuilderSelectionRunsEndToEnd) {
   EXPECT_EQ(stats.fast_path_forwards, 2u);
 }
 
-// ---------------------------------------------- Monitor::Run options
+// ------------------------------------------------------ run statistics
 
 TEST_F(MvteeSystemTest, RunRecordsPerStageMetrics) {
   Boot(2, 2, MonitorConfig{});
@@ -762,12 +754,13 @@ TEST_F(MvteeSystemTest, RunRecordsPerStageMetrics) {
   for (int i = 0; i < 2; ++i) {
     batches.push_back({Tensor::RandomUniform(Shape({1, 3, 16, 16}), rng)});
   }
-  RunStats stats;
-  auto outs = monitor_->Run(batches, RunOptions{.stats = &stats});
+  auto outs = Serve(*monitor_, batches);
   ASSERT_TRUE(outs.ok()) << outs.status().ToString();
   ASSERT_EQ(outs->size(), 2u);
 
-  // The per-call stats handle reflects just this run.
+  // ConsumeStats() reflects just this run.
+  monitor_->StopService();
+  const RunStats stats = monitor_->ConsumeStats();
   EXPECT_EQ(stats.batch_latency_us.size(), 2u);
   EXPECT_EQ(stats.checkpoints_evaluated, 4u);  // 2 stages x 2 batches
   EXPECT_GT(stats.wall_us, 0);
@@ -784,22 +777,6 @@ TEST_F(MvteeSystemTest, RunRecordsPerStageMetrics) {
   // Both stage boundaries carried payload bytes.
   EXPECT_GT(delta.counters.at("monitor.stage0.bytes"), 0u);
   EXPECT_GT(delta.counters.at("monitor.stage1.bytes"), 0u);
-
-  // The stats handle is a snapshot, not a consume: the cumulative
-  // ConsumeStats() still reports the same run.
-  EXPECT_EQ(monitor_->ConsumeStats().checkpoints_evaluated, 4u);
-}
-
-TEST_F(MvteeSystemTest, RunEnforcesDeadline) {
-  Boot(3, 3, MonitorConfig{});
-  util::Rng rng(18);
-  std::vector<std::vector<Tensor>> batches;
-  for (int i = 0; i < 3; ++i) {
-    batches.push_back({Tensor::RandomUniform(Shape({1, 3, 16, 16}), rng)});
-  }
-  auto outs = monitor_->Run(batches, RunOptions{.deadline_us = 1});
-  ASSERT_FALSE(outs.ok());
-  EXPECT_EQ(outs.status().code(), util::StatusCode::kDeadlineExceeded);
 }
 
 TEST_F(MvteeSystemTest, BindingsRecordAttestation) {

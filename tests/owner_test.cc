@@ -8,6 +8,7 @@
 #include "core/owner.h"
 #include "crypto/rand.h"
 #include "graph/builder.h"
+#include "serve_helpers.h"
 
 
 namespace mvtee::core {
@@ -18,15 +19,6 @@ using graph::ModelBuilder;
 using graph::NodeId;
 using tensor::Shape;
 using tensor::Tensor;
-
-// One-batch convenience over the unified Run() surface (replaces the
-// removed RunBatch wrapper): returns the single batch's outputs.
-util::Result<std::vector<Tensor>> RunOne(Monitor& m,
-                                         const std::vector<Tensor>& inputs) {
-  auto all = m.Run({inputs});
-  if (!all.ok()) return all.status();
-  return std::move((*all)[0]);
-}
 
 Graph TestModel(uint64_t seed = 5) {
   ModelBuilder b(seed);
@@ -145,7 +137,7 @@ TEST_F(OwnerProtocolTest, FullProvisioningFlow) {
 
   // The provisioned monitor actually serves inference.
   util::Rng rng(1);
-  auto out = RunOne(*monitor_, 
+  auto out = ServeOne(*monitor_,
       {Tensor::RandomUniform(Shape({1, 3, 16, 16}), rng)});
   EXPECT_TRUE(out.ok()) << out.status().ToString();
 
@@ -234,7 +226,7 @@ TEST(KeyRotationTest, DeploymentWorksAfterRotation) {
           ->Initialize(bundle, MvxSelection::Uniform(bundle, 1), host)
           .ok());
   util::Rng rng(2);
-  auto out = RunOne(**monitor, 
+  auto out = ServeOne(**monitor,
       {Tensor::RandomUniform(Shape({1, 3, 16, 16}), rng)});
   EXPECT_TRUE(out.ok()) << out.status().ToString();
   ASSERT_TRUE((*monitor)->Shutdown().ok());

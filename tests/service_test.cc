@@ -1,7 +1,7 @@
 // Service front end tests (DESIGN.md §11): attested session
 // establishment, per-session key isolation and sequence spaces,
-// admission backpressure, deadlines, and the Run() compatibility
-// wrapper over the long-lived request loop.
+// admission backpressure, deadlines, and run statistics of the
+// long-lived request loop.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -35,6 +35,7 @@
 #include "transport/secure_channel.h"
 #include "util/clock.h"
 #include "util/rng.h"
+#include "serve_helpers.h"
 
 namespace mvtee::service {
 namespace {
@@ -47,6 +48,7 @@ using core::MvxSelection;
 using core::OfflineBundle;
 using core::OfflineOptions;
 using core::RunOfflineTool;
+using core::Serve;
 using core::VariantHost;
 using graph::Graph;
 using graph::ModelBuilder;
@@ -105,7 +107,12 @@ class ServiceTest : public ::testing::Test {
     ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
     bundle_ = std::move(*bundle);
     host_ = std::make_unique<VariantHost>(&cpu_, bundle_.store);
-    auto monitor = Monitor::Create(&cpu_, MonitorConfig{});
+    MonitorConfig config;
+    config.loop_tick_hook = [this] {
+      std::unique_lock<std::mutex> lock(gate_mu_);
+      gate_cv_.wait(lock, [this] { return !hold_ || !hold_(); });
+    };
+    auto monitor = Monitor::Create(&cpu_, config);
     ASSERT_TRUE(monitor.ok());
     monitor_ = std::move(*monitor);
     auto status =
@@ -115,11 +122,43 @@ class ServiceTest : public ::testing::Test {
   }
 
   void TearDown() override {
+    ReleaseLoop();
     if (monitor_) ASSERT_TRUE(monitor_->Shutdown().ok());
     if (host_) host_->JoinAll();
   }
 
+  // Parks the monitor's event loop at the top of every tick on which
+  // `hold` returns true, until ReleaseLoop().
+  void HoldLoopWhile(std::function<bool()> hold) {
+    {
+      std::lock_guard<std::mutex> lock(gate_mu_);
+      hold_ = std::move(hold);
+    }
+    gate_cv_.notify_all();
+  }
+  void ReleaseLoop() { HoldLoopWhile(nullptr); }
+
+  // Submits a filler request on its own session and parks the event
+  // loop on its first tick after admitting it, so submits made before
+  // ReleaseLoop() queue up behind an in-flight request.
+  std::future<InferenceResponse> HoldLoopBehindFiller() {
+    obs::Counter& groups =
+        monitor_->metrics().GetCounter("service.groups_total");
+    const uint64_t base = groups.value();
+    HoldLoopWhile([&groups, base] { return groups.value() > base; });
+    auto session = monitor_->OpenSession();
+    MVTEE_CHECK(session.ok());
+    auto filler = (*session)->Submit({{TestInput(99)}});
+    MVTEE_CHECK(filler.ok());
+    MVTEE_CHECK(WaitForCounter(groups, base + 1));
+    return std::move(*filler);
+  }
+
   tee::SimulatedCpu cpu_{tee::SimulatedCpu::Options{.hardware_key_seed = 3}};
+  // Event-loop gate (MonitorConfig::loop_tick_hook); outlives monitor_.
+  std::mutex gate_mu_;
+  std::condition_variable gate_cv_;
+  std::function<bool()> hold_;
   OfflineBundle bundle_;
   std::unique_ptr<VariantHost> host_;
   std::unique_ptr<Monitor> monitor_;
@@ -128,8 +167,10 @@ class ServiceTest : public ::testing::Test {
 // ------------------------------------------------ in-process sessions
 
 TEST_F(ServiceTest, SessionSubmitMatchesRunWrapper) {
+  // A Submit on a caller's session answers exactly what a one-batch
+  // run through a fresh session does.
   const Tensor input = TestInput();
-  auto direct = monitor_->Run({{input}});
+  auto direct = Serve(*monitor_, {{input}});
   ASSERT_TRUE(direct.ok()) << direct.status().ToString();
 
   auto session = monitor_->OpenSession();
@@ -145,7 +186,7 @@ TEST_F(ServiceTest, SessionSubmitMatchesRunWrapper) {
 }
 
 TEST_F(ServiceTest, OpenSessionRequiresRunningService) {
-  // Before any Run()/StartService() the request loop is down.
+  // Before StartService() the request loop is down.
   auto session = monitor_->OpenSession();
   ASSERT_FALSE(session.ok());
   EXPECT_EQ(session.status().code(), StatusCode::kFailedPrecondition);
@@ -203,14 +244,14 @@ TEST_F(ServiceTest, StoppedServiceFailsSubmits) {
 
 TEST_F(ServiceTest, RunWrapperKeepsWorkingAcrossReconfiguration) {
   const Tensor input = TestInput();
-  auto first = monitor_->Run({{input}});
+  auto first = Serve(*monitor_, {{input}});
   ASSERT_TRUE(first.ok()) << first.status().ToString();
-  // UpdateStage quiesces the request loop; the next Run() restarts it.
+  // UpdateStage stops the request loop; StartService restarts it.
   auto ids = bundle_.StageVariantIds(0);
   ASSERT_GE(ids.size(), 2u);
   ASSERT_TRUE(
       monitor_->UpdateStage(bundle_, *host_, 0, {ids[0], ids[1]}).ok());
-  auto second = monitor_->Run({{input}});
+  auto second = Serve(*monitor_, {{input}});
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_LT(MaxAbsDiff((*first)[0][0], (*second)[0][0]), 1e-6f);
 }
@@ -223,28 +264,23 @@ TEST_F(ServiceTest, QueuedSubmitsCoalesceIntoOneGroup) {
       monitor_->metrics().GetCounter("service.groups_total");
   const uint64_t base = groups.value();
 
-  // Occupy the loop with a legacy group, then queue three submits while
-  // it runs: they must drain as ONE coalesced pipelined group.
-  std::vector<std::vector<Tensor>> batches;
-  for (int i = 0; i < 16; ++i) batches.push_back({TestInput()});
-  auto legacy = std::async(std::launch::async, [&] {
-    return monitor_->Run(batches, core::RunOptions{.pipelined = true});
-  });
-  ASSERT_TRUE(WaitForCounter(groups, base + 1));  // legacy group popped
-
+  // Hold the loop behind an in-flight filler, then queue three submits:
+  // they must drain as ONE coalesced pipelined group.
+  auto filler = HoldLoopBehindFiller();
   std::vector<std::future<InferenceResponse>> futures;
   for (int i = 0; i < 3; ++i) {
     auto submitted = (*session)->Submit({{TestInput(7 + i)}});
     ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
     futures.push_back(std::move(*submitted));
   }
-  ASSERT_TRUE(legacy.get().ok());
+  ReleaseLoop();
+  EXPECT_TRUE(filler.get().status.ok());
   for (auto& f : futures) {
     InferenceResponse response = f.get();
     EXPECT_TRUE(response.status.ok()) << response.status.ToString();
     EXPECT_FALSE(response.outputs.empty());
   }
-  EXPECT_EQ(groups.value(), base + 2);  // legacy + one coalesced group
+  EXPECT_EQ(groups.value(), base + 2);  // filler + one coalesced group
 }
 
 TEST_F(ServiceTest, ExpiredDeadlineFailsInAdmissionQueue) {
@@ -254,23 +290,21 @@ TEST_F(ServiceTest, ExpiredDeadlineFailsInAdmissionQueue) {
   obs::Counter& groups =
       monitor_->metrics().GetCounter("service.groups_total");
   const uint64_t base = groups.value();
-  // Hold the loop busy with a legacy group so the dated submit expires
-  // while queued.
-  std::vector<std::vector<Tensor>> batches;
-  for (int i = 0; i < 16; ++i) batches.push_back({TestInput()});
-  auto legacy = std::async(std::launch::async, [&] {
-    return monitor_->Run(batches, core::RunOptions{.pipelined = true});
-  });
-  ASSERT_TRUE(WaitForCounter(groups, base + 1));
+  // Hold the loop behind an in-flight filler so the dated submit
+  // expires while queued.
+  auto filler = HoldLoopBehindFiller();
 
   InferenceRequest request;
   request.inputs = {TestInput()};
-  request.deadline_us = 1;  // expires long before the legacy group ends
+  request.deadline_us = 1;  // expires long before the loop is released
   auto future = (*session)->Submit(std::move(request));
   ASSERT_TRUE(future.ok()) << future.status().ToString();
-  ASSERT_TRUE(legacy.get().ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ReleaseLoop();
+  EXPECT_TRUE(filler.get().status.ok());
   InferenceResponse response = future->get();
   EXPECT_EQ(response.status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(groups.value(), base + 1);  // the expired submit never ran
 }
 
 TEST_F(ServiceTest, NegativeDeadlineRejectedAtSubmitKeepsSessionAlive) {
@@ -321,13 +355,44 @@ TEST_F(ServiceTest, TenantGoodputAndOccupancyInstruments) {
   EXPECT_GE(reg.GetHistogram("scheduler.batch_occupancy").Stats().count, 1u);
 }
 
+TEST_F(ServiceTest, ConsumeStatsIncludesWallTimeOfAnsweredRequest) {
+  // A future resolves when its request completes, while the serving
+  // stream keeps running: ConsumeStats() right after get() must already
+  // hold that request's wall time and wire bytes.
+  core::ServiceConfig config;
+  config.scheduler.max_batch = 1;
+  ASSERT_TRUE(monitor_->StartService(config).ok());
+  auto session = monitor_->OpenSession();
+  ASSERT_TRUE(session.ok());
+  obs::Counter& completed =
+      monitor_->metrics().GetCounter("monitor.batches_completed");
+  const uint64_t base = completed.value();
+
+  // Queue both requests before the stream admits either, then let it
+  // run until the first completes: the second keeps the stream alive.
+  HoldLoopWhile([] { return true; });
+  auto first = (*session)->Submit({{TestInput(1)}});
+  auto second = (*session)->Submit({{TestInput(2)}});
+  ASSERT_TRUE(first.ok() && second.ok());
+  HoldLoopWhile([&completed, base] { return completed.value() > base; });
+  ASSERT_TRUE(first->get().status.ok());
+
+  const core::RunStats stats = monitor_->ConsumeStats();
+  EXPECT_EQ(stats.batch_latency_us.size(), 1u);
+  EXPECT_GT(stats.wall_us, 0);
+  EXPECT_GT(stats.bytes_sent, 0u);
+  EXPECT_GT(stats.ThroughputPerSec(), 0.0);
+  ReleaseLoop();
+  EXPECT_TRUE(second->get().status.ok());
+}
+
 TEST_F(ServiceTest, CrossSessionCoalescingKeepsSequenceSpacesIsolated) {
-  // Reference outputs per input, computed through the legacy wrapper.
+  // Reference outputs per input, each served alone.
   std::vector<Tensor> inputs;
   std::vector<Tensor> expected;
   for (uint64_t i = 0; i < 6; ++i) {
     inputs.push_back(TestInput(20 + i));
-    auto ref = monitor_->Run({{inputs.back()}});
+    auto ref = Serve(*monitor_, {{inputs.back()}});
     ASSERT_TRUE(ref.ok()) << ref.status().ToString();
     expected.push_back((*ref)[0][0]);
   }
@@ -335,18 +400,11 @@ TEST_F(ServiceTest, CrossSessionCoalescingKeepsSequenceSpacesIsolated) {
   auto a = monitor_->OpenSession();
   auto b = monitor_->OpenSession();
   ASSERT_TRUE(a.ok() && b.ok());
-  obs::Counter& groups =
-      monitor_->metrics().GetCounter("service.groups_total");
-  const uint64_t base = groups.value();
 
-  // Hold the loop busy so the six submits below queue up and the
-  // continuous scheduler coalesces them across both sessions.
-  std::vector<std::vector<Tensor>> batches;
-  for (int i = 0; i < 16; ++i) batches.push_back({TestInput()});
-  auto legacy = std::async(std::launch::async, [&] {
-    return monitor_->Run(batches, core::RunOptions{.pipelined = true});
-  });
-  ASSERT_TRUE(WaitForCounter(groups, base + 1));
+  // Hold the loop behind an in-flight filler so the six submits below
+  // queue up and the continuous scheduler coalesces them across both
+  // sessions.
+  auto filler = HoldLoopBehindFiller();
 
   // Interleave submissions: a, b, a, b, ...
   std::vector<std::future<InferenceResponse>> futures;
@@ -359,7 +417,8 @@ TEST_F(ServiceTest, CrossSessionCoalescingKeepsSequenceSpacesIsolated) {
     ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
     futures.push_back(std::move(*submitted));
   }
-  ASSERT_TRUE(legacy.get().ok());
+  ReleaseLoop();
+  EXPECT_TRUE(filler.get().status.ok());
 
   // Every reply carries its own session's payload (no cross-session
   // mixing in the shared stream) and its own session's sequence number
@@ -391,7 +450,7 @@ TEST_F(ServiceTest, AttestedHandshakeAndEncryptedInference) {
             monitor_->enclave().measurement());
 
   const Tensor input = TestInput();
-  auto reference = monitor_->Run({{input}});
+  auto reference = Serve(*monitor_, {{input}});
   ASSERT_TRUE(reference.ok());
   auto outputs = (*client)->Infer({input});
   ASSERT_TRUE(outputs.ok()) << outputs.status().ToString();
@@ -620,7 +679,7 @@ TEST_F(ServiceTest, CoalescedWireSessionsNeverMixKeysOrPayloads) {
   for (int c = 0; c < kClients; ++c) {
     for (int r = 0; r < kRequests; ++r) {
       auto ref =
-          monitor_->Run({{TestInput(static_cast<uint64_t>(100 * c + r))}});
+          Serve(*monitor_, {{TestInput(static_cast<uint64_t>(100 * c + r))}});
       ASSERT_TRUE(ref.ok()) << ref.status().ToString();
       expected[c].push_back((*ref)[0][0]);
     }
@@ -679,8 +738,8 @@ TEST_F(ServiceTest, SchedulerRoutesModelsAndRejectsUnknown) {
                   .ok());
 
   const Tensor input = TestInput();
-  auto ref_alpha = monitor_->Run({{input}});
-  auto ref_beta = (*monitor2)->Run({{input}});
+  auto ref_alpha = Serve(*monitor_, {{input}});
+  auto ref_beta = Serve(**monitor2, {{input}});
   ASSERT_TRUE(ref_alpha.ok() && ref_beta.ok());
   // Different weight seeds: routing errors are observable.
   ASSERT_GT(MaxAbsDiff((*ref_alpha)[0][0], (*ref_beta)[0][0]), 1e-6f);

@@ -10,6 +10,7 @@
 #include "graph/model_zoo.h"
 #include "obs/json.h"
 #include "runtime/executor.h"
+#include "serve_helpers.h"
 #include "transport/channel.h"
 #include "util/clock.h"
 
@@ -33,15 +34,6 @@ namespace {
 using graph::Graph;
 using tensor::Shape;
 using tensor::Tensor;
-
-// One-batch convenience over the unified Run() surface (replaces the
-// removed RunBatch wrapper): returns the single batch's outputs.
-util::Result<std::vector<Tensor>> RunOne(Monitor& m,
-                                         const std::vector<Tensor>& inputs) {
-  auto all = m.Run({inputs});
-  if (!all.ok()) return all.status();
-  return std::move((*all)[0]);
-}
 
 graph::ZooConfig SmallZoo() {
   graph::ZooConfig cfg;
@@ -99,7 +91,7 @@ TEST_P(ZooDeploymentTest, DiversifiedMvxMatchesReference) {
 
   util::Rng rng(1);
   auto input = Tensor::RandomUniform(Shape({1, 3, 32, 32}), rng);
-  auto out = RunOne(**monitor, {input});
+  auto out = ServeOne(**monitor, {input});
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   auto expected = ReferenceRun(model, {input});
   EXPECT_GT(tensor::CosineSimilarity((*out)[0], expected[0]), 0.999);
@@ -172,9 +164,11 @@ TEST_F(VirtualTimeTest, PipelinedBeatsSequentialThroughput) {
   Boot(config);
   auto batches = MakeBatches(10);
 
-  ASSERT_TRUE(monitor_->Run(batches).ok());
+  ASSERT_TRUE(Serve(*monitor_, batches).ok());
+  monitor_->StopService();
   auto seq = monitor_->ConsumeStats();
-  ASSERT_TRUE(monitor_->Run(batches, RunOptions{.pipelined = true}).ok());
+  ASSERT_TRUE(Serve(*monitor_, batches, /*pipelined=*/true).ok());
+  monitor_->StopService();
   auto pipe = monitor_->ConsumeStats();
 
   EXPECT_GT(seq.ThroughputPerSec(), 0.0);
@@ -187,7 +181,7 @@ TEST_F(VirtualTimeTest, StatsAreMeaningful) {
   MonitorConfig config;
   Boot(config, 3, 3);
   auto batches = MakeBatches(4);
-  ASSERT_TRUE(monitor_->Run(batches).ok());
+  ASSERT_TRUE(Serve(*monitor_, batches).ok());
   auto stats = monitor_->ConsumeStats();
   EXPECT_EQ(stats.batch_latency_us.size(), 4u);
   for (int64_t lat : stats.batch_latency_us) EXPECT_GT(lat, 0);
@@ -228,7 +222,7 @@ TEST_F(VirtualTimeTest, SlowVariantDelaysSyncButNotAsyncQuorum) {
                                  *host_)
                     .ok());
     auto batches = MakeBatches(6);
-    MVTEE_CHECK(monitor_->Run(batches).ok());
+    MVTEE_CHECK(Serve(*monitor_, batches).ok());
     auto stats = monitor_->ConsumeStats();
     MVTEE_CHECK(monitor_->Shutdown().ok());
     host_->JoinAll();
@@ -274,17 +268,28 @@ TEST_F(VirtualTimeTest, AsyncLateDivergenceDetected) {
                                MvxSelection::PerStage(bundle_, {1, 3, 1}),
                                *host_)
                   .ok());
+  // The client pauses after each answer, so the serving stream goes
+  // idle while the slow variant still owes its report: the stream must
+  // wait for that report rather than drop it.
+  ASSERT_TRUE(monitor_->StartService().ok());
+  auto session = monitor_->OpenSession();
+  ASSERT_TRUE(session.ok());
   auto batches = MakeBatches(6);
-  auto out = monitor_->Run(batches);
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  for (const auto& batch : batches) {
+    auto answer = (*session)->Submit({batch});
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    InferenceResponse response = answer->get();
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    // Every released output matches the healthy reference.
+    auto expected = ReferenceRun(model_, batch);
+    EXPECT_GT(tensor::CosineSimilarity(response.outputs[0], expected[0]),
+              0.999);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  monitor_->StopService();
   auto stats = monitor_->ConsumeStats();
   // Dissent observed — either at a checkpoint or via late validation.
   EXPECT_GT(stats.divergences + stats.late_divergences, 0u);
-  // And every released output matches the healthy reference.
-  for (size_t b = 0; b < batches.size(); ++b) {
-    auto expected = ReferenceRun(model_, batches[b]);
-    EXPECT_GT(tensor::CosineSimilarity((*out)[b][0], expected[0]), 0.999);
-  }
 }
 
 TEST_F(VirtualTimeTest, VerifyFastPathCatchesNonFinitePoisoning) {
@@ -313,7 +318,7 @@ TEST_F(VirtualTimeTest, VerifyFastPathCatchesNonFinitePoisoning) {
                   ->Initialize(bundle_, MvxSelection::Uniform(bundle_, 1),
                                *host_)
                   .ok());
-  auto out = RunOne(*monitor_, MakeBatches(1)[0]);
+  auto out = ServeOne(*monitor_, MakeBatches(1)[0]);
   EXPECT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), util::StatusCode::kDivergenceDetected);
 }
@@ -326,13 +331,14 @@ TEST_F(VirtualTimeTest, EventedMonitorExposesWaitAndPrefilterMetrics) {
   Boot(config, 3, 3);
   auto before = obs::Registry::Default().Snapshot();
   auto batches = MakeBatches(4);
-  ASSERT_TRUE(monitor_->Run(batches).ok());
+  ASSERT_TRUE(Serve(*monitor_, batches).ok());
+  monitor_->StopService();
   auto delta = obs::Registry::Default().Snapshot().DeltaSince(before);
   EXPECT_GT(delta.counters.at("monitor.prefilter_hits"), 0u);
   EXPECT_EQ(delta.counters.at("monitor.full_checks"), 0u);
   EXPECT_GT(delta.histograms.at("monitor.wait_us").count, 0u);
   EXPECT_GT(delta.histograms.at("monitor.verify_job_us").count, 0u);
-  // The pool drained before Run returned.
+  // The pool drained before the stream ended.
   EXPECT_EQ(delta.gauges.at("monitor.verify_queue_depth"), 0);
 }
 
@@ -345,7 +351,7 @@ TEST_F(VirtualTimeTest, InlineVerifyAndPrefilterOffStillCorrect) {
   config.digest_prefilter = false;
   Boot(config, 3, 3);
   auto batches = MakeBatches(3);
-  auto out = monitor_->Run(batches);
+  auto out = Serve(*monitor_, batches);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   auto stats = monitor_->ConsumeStats();
   EXPECT_EQ(stats.checkpoints_evaluated, 3u * 3u);
@@ -363,10 +369,8 @@ TEST_F(VirtualTimeTest, SequentialPacingKeepsVirtualTimeSane) {
   // mutually sane.
   Boot(MonitorConfig{}, 3, 3);
   auto batches = MakeBatches(5);
-  RunStats run_stats;
-  RunOptions opts;
-  opts.stats = &run_stats;
-  ASSERT_TRUE(monitor_->Run(batches, opts).ok());
+  ASSERT_TRUE(Serve(*monitor_, batches).ok());
+  const RunStats run_stats = monitor_->ConsumeStats();
   ASSERT_EQ(run_stats.batch_latency_us.size(), 5u);
   int64_t lo = *std::min_element(run_stats.batch_latency_us.begin(),
                                  run_stats.batch_latency_us.end());
@@ -406,7 +410,7 @@ TEST_F(VirtualTimeTest, TamperedResultFrameAbortsRun) {
                                host)
                   .ok());
   const int64_t wall0 = util::NowMicros();
-  auto out = RunOne(**monitor, MakeBatches(1)[0]);
+  auto out = ServeOne(**monitor, MakeBatches(1)[0]);
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), util::StatusCode::kAuthenticationFailure);
   // Aborted on detection, not by burning the full recv deadline.
@@ -446,7 +450,7 @@ TEST_F(VirtualTimeTest, DivergenceWritesEvidenceBundleWithLinkedTrace) {
                   ->Initialize(bundle_, MvxSelection::Uniform(bundle_, 3),
                                host)
                   .ok());
-  auto out = (*monitor)->Run(MakeBatches(1));
+  auto out = Serve(**monitor, MakeBatches(1));
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), util::StatusCode::kDivergenceDetected);
   (void)(*monitor)->Shutdown();
@@ -567,9 +571,9 @@ TEST_F(VirtualTimeTest, IdleDeploymentOutlivesRecvTimeout) {
   host_options.recv_timeout_us = 300'000;
   Boot(config, 3, 1, host_options);
   auto batches = MakeBatches(1);
-  ASSERT_TRUE(monitor_->Run(batches).ok());
+  ASSERT_TRUE(Serve(*monitor_, batches).ok());
   std::this_thread::sleep_for(std::chrono::seconds(1));
-  auto again = monitor_->Run(batches);
+  auto again = Serve(*monitor_, batches);
   EXPECT_TRUE(again.ok()) << again.status().ToString();
 }
 
@@ -588,7 +592,7 @@ TEST_F(VirtualTimeTest, IdleDeploymentParksInsteadOfPolling) {
   // for a second: parked on their wait sets they must cost under 5% of
   // one core, where a sleep-poll loop burns most of one.
   Boot(MonitorConfig{}, 3, 3);
-  ASSERT_TRUE(monitor_->Run(MakeBatches(1)).ok());
+  ASSERT_TRUE(Serve(*monitor_, MakeBatches(1)).ok());
   const int64_t cpu0 = ProcessCpuMicros();
   const int64_t wall0 = util::NowMicros();
   std::this_thread::sleep_for(std::chrono::seconds(1));
@@ -615,7 +619,7 @@ TEST_F(VirtualTimeTest, ExplicitSelectionPicksNamedVariants) {
   ASSERT_EQ(bindings.size(), 4u);
   EXPECT_EQ(bindings[0].variant_id, "s0.v3");
   EXPECT_EQ(bindings[1].variant_id, "s1.v1");
-  auto out = RunOne(*monitor_, MakeBatches(1)[0]);
+  auto out = ServeOne(*monitor_, MakeBatches(1)[0]);
   EXPECT_TRUE(out.ok()) << out.status().ToString();
 }
 
@@ -623,9 +627,9 @@ TEST_F(VirtualTimeTest, RepeatedRunsAccumulateIndependentStats) {
   MonitorConfig config;
   Boot(config, 3, 1);
   auto batches = MakeBatches(3);
-  ASSERT_TRUE(monitor_->Run(batches).ok());
+  ASSERT_TRUE(Serve(*monitor_, batches).ok());
   auto first = monitor_->ConsumeStats();
-  ASSERT_TRUE(monitor_->Run(batches).ok());
+  ASSERT_TRUE(Serve(*monitor_, batches).ok());
   auto second = monitor_->ConsumeStats();
   EXPECT_EQ(first.batch_latency_us.size(), 3u);
   EXPECT_EQ(second.batch_latency_us.size(), 3u);
@@ -642,7 +646,7 @@ TEST_F(VirtualTimeTest, PlaintextAblationIsNotSlower) {
   MonitorConfig config;
   config.direct_fastpath = true;
   Boot(config);
-  ASSERT_TRUE(monitor_->Run(batches).ok());
+  ASSERT_TRUE(Serve(*monitor_, batches).ok());
   auto encrypted = monitor_->ConsumeStats();
   ASSERT_TRUE(monitor_->Shutdown().ok());
   host_->JoinAll();
@@ -657,7 +661,7 @@ TEST_F(VirtualTimeTest, PlaintextAblationIsNotSlower) {
                   ->Initialize(bundle_, MvxSelection::Uniform(bundle_, 1),
                                *host_)
                   .ok());
-  ASSERT_TRUE(monitor_->Run(batches).ok());
+  ASSERT_TRUE(Serve(*monitor_, batches).ok());
   auto plaintext = monitor_->ConsumeStats();
 
   // Allow generous noise margin; the point is no systematic inversion.
@@ -705,8 +709,9 @@ TEST_F(VirtualTimeTest, LifecycleEvidenceBundleRecordsQuarantineAndReadmit) {
 
   auto before = obs::Registry::Default().Snapshot();
   auto batches = MakeBatches(6);
-  auto out = (*monitor)->Run(batches);
+  auto out = Serve(**monitor, batches);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
+  (*monitor)->StopService();
   auto delta = obs::Registry::Default().Snapshot().DeltaSince(before);
   EXPECT_GE(delta.counters.at("supervisor.quarantines_total"), 1u);
   EXPECT_GE(delta.counters.at("supervisor.readmissions_total"), 1u);
@@ -843,7 +848,8 @@ TEST_F(VirtualTimeTest, RecvTimeoutBecomesVariantFailureNotRunError) {
                   .ok());
 
   auto batches = MakeBatches(3);
-  auto out = (*monitor)->Run(batches);
+  auto out = Serve(**monitor, batches);
+  (*monitor)->StopService();
   hang->Release();  // unpark the quarantined original before teardown
   ASSERT_TRUE(out.ok()) << out.status().ToString();  // not DeadlineExceeded
 
