@@ -14,6 +14,12 @@
 //      through the AVX2 tier vs util::ScopedForceScalar on L2-resident
 //      arrays, asserting the outputs stay bitwise identical.
 //      Acceptance floor: hardswish >= 1.2x where AVX2 dispatches.
+//   4. Conv lowerings on two of the zoo's hot shapes, per GEMM backend:
+//      a 3x3 depthwise conv (direct depthwise loop vs per-channel
+//      im2col + M=1 GEMM) and an SE-block 1x1 conv on a 1x1 map (the
+//      blocked backend's narrow-B register tile vs its memory-
+//      accumulating loop). Each pair is checked bitwise in-process.
+//      Report only, no floor.
 //
 // Results go to stdout and to a JSON summary at $MVTEE_BENCH_JSON
 // (default ./BENCH_kernels.json). Floors the host cannot fail are
@@ -210,6 +216,129 @@ ElementwiseResult RunElementwise(const char* op, double bytes_per_call,
   return out;
 }
 
+// -------------------------------------------------- conv lowerings
+
+// The blocked backend's memory-accumulating loop (still its path for
+// n >= 64), which ran narrow B too until the register tile replaced it.
+void MemoryLoopBlockedGemm(const float* a, const float* b, float* c,
+                           int64_t m, int64_t n, int64_t k) {
+  constexpr int64_t kTile = 64;
+  std::memset(c, 0, static_cast<size_t>(m * n) * sizeof(float));
+  for (int64_t i0 = 0; i0 < m; i0 += kTile) {
+    const int64_t i_end = std::min(i0 + kTile, m);
+    for (int64_t p0 = 0; p0 < k; p0 += kTile) {
+      const int64_t p_end = std::min(p0 + kTile, k);
+      for (int64_t j0 = 0; j0 < n; j0 += kTile) {
+        const int64_t j_end = std::min(j0 + kTile, n);
+        for (int64_t i = i0; i < i_end; ++i) {
+          for (int64_t p = p0; p < p_end; ++p) {
+            const float a_ip = a[i * k + p];
+            const float* b_row = b + p * n;
+            float* c_row = c + i * n;
+            for (int64_t j = j0; j < j_end; ++j) {
+              c_row[j] += a_ip * b_row[j];
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The im2col lowering of a depthwise conv (kAvx2's path): per channel,
+// a column matrix, an M=1 GEMM and the bias broadcast.
+Tensor Im2colDepthwise(const Tensor& x, const Tensor& w, const Tensor& bias,
+                       const runtime::ConvParams& p,
+                       runtime::GemmBackend backend) {
+  const int64_t C = x.shape().dim(1), H = x.shape().dim(2),
+                W = x.shape().dim(3), K = w.shape().dim(2);
+  const int64_t OH = (H + 2 * p.padding - K) / p.stride + 1;
+  const int64_t OW = (W + 2 * p.padding - K) / p.stride + 1;
+  const int64_t cols = OH * OW;
+  Tensor out(Shape({1, C, OH, OW}));
+  std::vector<float> col(static_cast<size_t>(K * K * cols));
+  std::vector<float> res(static_cast<size_t>(cols));
+  for (int64_t c = 0; c < C; ++c) {
+    const float* plane = x.data() + c * H * W;
+    for (int64_t t = 0; t < K * K; ++t) {
+      for (int64_t oh = 0; oh < OH; ++oh) {
+        for (int64_t ow = 0; ow < OW; ++ow) {
+          const int64_t ih = oh * p.stride + t / K - p.padding;
+          const int64_t iw = ow * p.stride + t % K - p.padding;
+          const bool inside = ih >= 0 && ih < H && iw >= 0 && iw < W;
+          col[static_cast<size_t>(t * cols + oh * OW + ow)] =
+              inside ? plane[ih * W + iw] : 0.0f;
+        }
+      }
+    }
+    runtime::Gemm(backend, w.data() + c * K * K, col.data(), res.data(), 1,
+                  cols, K * K, nullptr);
+    runtime::elementwise::AddScalar(res.data(), bias.data()[c],
+                                    out.data() + c * cols, cols);
+  }
+  return out;
+}
+
+// 1x1 stride-1 conv as the im2col lowering runs it: C[OC x HW] =
+// W[OC x IC] x[IC x HW], then each channel's bias, with kBlocked on its
+// memory loop.
+Tensor Gemm1x1(const Tensor& x, const Tensor& w, const Tensor& bias,
+               runtime::GemmBackend backend) {
+  const int64_t OC = w.shape().dim(0), IC = w.shape().dim(1);
+  const int64_t H = x.shape().dim(2), W = x.shape().dim(3);
+  std::vector<float> res(static_cast<size_t>(OC * H * W));
+  if (backend == runtime::GemmBackend::kBlocked) {
+    MemoryLoopBlockedGemm(w.data(), x.data(), res.data(), OC, H * W, IC);
+  } else {
+    runtime::Gemm(backend, w.data(), x.data(), res.data(), OC, H * W, IC,
+                  nullptr);
+  }
+  Tensor out(Shape({1, OC, H, W}));
+  for (int64_t oc = 0; oc < OC; ++oc) {
+    runtime::elementwise::AddScalar(res.data() + oc * H * W, bias.data()[oc],
+                                    out.data() + oc * H * W, H * W);
+  }
+  return out;
+}
+
+struct LoweringResult {
+  runtime::GemmBackend backend;
+  const char* layer = "";
+  double old_us = 0.0;  // im2col / memory-loop lowering
+  double new_us = 0.0;  // Conv2d as it runs today
+  double speedup() const { return new_us > 0 ? old_us / new_us : 0.0; }
+};
+
+template <typename Old>
+LoweringResult RunLowering(const char* layer, runtime::GemmBackend backend,
+                           const Tensor& x, const Tensor& w,
+                           const Tensor& bias, const runtime::ConvParams& p,
+                           const Old& old_lowering) {
+  auto lowered = [&] {
+    return runtime::Conv2d(x, w, &bias, p, runtime::ConvAlgo::kIm2col,
+                           backend);
+  };
+  {
+    const Tensor want = old_lowering();
+    const Tensor got = lowered();
+    MVTEE_CHECK(want.shape() == got.shape());
+    MVTEE_CHECK(std::memcmp(want.data(), got.data(), want.byte_size()) == 0);
+  }
+  LoweringResult out;
+  out.backend = backend;
+  out.layer = layer;
+  const int iters = 32;
+  out.old_us = TimeMedian(5, [&] {
+                 for (int i = 0; i < iters; ++i) old_lowering();
+               }) /
+               iters * 1e6;
+  out.new_us = TimeMedian(5, [&] {
+                 for (int i = 0; i < iters; ++i) lowered();
+               }) /
+               iters * 1e6;
+  return out;
+}
+
 // --------------------------------------------------------------- main
 
 const char* BackendName(runtime::GemmBackend b) {
@@ -225,6 +354,7 @@ const char* BackendName(runtime::GemmBackend b) {
 void WriteJson(const std::vector<PrepackResult>& packs,
                const std::vector<ConvResult>& convs,
                const std::vector<ElementwiseResult>& elws,
+               const std::vector<LoweringResult>& lowerings,
                uint64_t steady_pool_misses) {
   const char* path = std::getenv("MVTEE_BENCH_JSON");
   if (path == nullptr) path = "BENCH_kernels.json";
@@ -280,6 +410,16 @@ void WriteJson(const std::vector<PrepackResult>& packs,
                  floor_applies ? "true" : "false",
                  floor_applies ? "false" : "true",
                  i + 1 < elws.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n  \"conv_lowering\": [\n");
+  for (size_t i = 0; i < lowerings.size(); ++i) {
+    const LoweringResult& r = lowerings[i];
+    std::fprintf(f,
+                 "    {\"backend\": \"%s\", \"layer\": \"%s\", "
+                 "\"old_us\": %.2f, \"new_us\": %.2f, \"speedup_x\": %.2f, "
+                 "\"bitwise\": true}%s\n",
+                 BackendName(r.backend), r.layer, r.old_us, r.new_us,
+                 r.speedup(), i + 1 < lowerings.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -400,7 +540,36 @@ int Main() {
                                        : "  ** BELOW FLOOR **");
   }
 
-  WriteJson(packs, convs, elws, steady_pool_misses);
+  // 4. Conv lowerings on the zoo's hot shapes, old vs new (report only).
+  std::printf("\nConv lowerings, old vs new (bitwise identical)\n");
+  PrintRule();
+  std::printf("%-10s | %-22s | %10s %10s | %6s\n", "backend", "layer",
+              "old us", "new us", "x");
+  const Tensor dw_x = Tensor::RandomUniform(Shape({1, 48, 16, 16}), rng);
+  const Tensor dw_w = Tensor::RandomUniform(Shape({48, 1, 3, 3}), rng);
+  const Tensor dw_b = Tensor::RandomUniform(Shape({48}), rng);
+  const runtime::ConvParams dw_p{1, 1, /*groups=*/48};
+  const Tensor se_x = Tensor::RandomUniform(Shape({1, 144, 1, 1}), rng);
+  const Tensor se_w = Tensor::RandomUniform(Shape({576, 144, 1, 1}), rng);
+  const Tensor se_b = Tensor::RandomUniform(Shape({576}), rng);
+  std::vector<LoweringResult> lowerings;
+  for (auto backend :
+       {runtime::GemmBackend::kNaive, runtime::GemmBackend::kBlocked,
+        runtime::GemmBackend::kTransposed, runtime::GemmBackend::kAvx2}) {
+    lowerings.push_back(RunLowering(
+        "dw 3x3 s1 p1 C48 @16", backend, dw_x, dw_w, dw_b, dw_p,
+        [&] { return Im2colDepthwise(dw_x, dw_w, dw_b, dw_p, backend); }));
+    lowerings.push_back(RunLowering(
+        "1x1 144->576 @1", backend, se_x, se_w, se_b, runtime::ConvParams{},
+        [&] { return Gemm1x1(se_x, se_w, se_b, backend); }));
+  }
+  for (const LoweringResult& r : lowerings) {
+    std::printf("%-10s | %-22s | %10.2f %10.2f | %5.2fx\n",
+                BackendName(r.backend), r.layer, r.old_us, r.new_us,
+                r.speedup());
+  }
+
+  WriteJson(packs, convs, elws, lowerings, steady_pool_misses);
   bool pack_ok = true;
   for (const PrepackResult& r : packs) {
     if (r.floor_applies && r.speedup() < 1.3) pack_ok = false;

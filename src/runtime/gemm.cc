@@ -45,12 +45,87 @@ void GemmNaive(const float* a, const float* b, float* c, int64_t m, int64_t n,
 
 constexpr int64_t kTile = 64;
 
+// Four adjacent floats of a C row as one SSE-width vector. The compiler
+// lowers elementwise ops on it to packed instructions (or to scalar code
+// on targets without them), and every lane rounds exactly like the
+// scalar op it stands for.
+using Float4 = float __attribute__((vector_size(16)));
+
+// Register tiles of the blocked backend for narrow B (n < kTile). Each
+// element of C starts at +0.0f and adds a[i][p] * b[p][j] for
+// p = 0..k-1 in order, one rounded multiply and one rounded add per
+// step: the sequence the memory-accumulating loop in GemmBlockedRows
+// performs, so results are bitwise identical to it, without its
+// store->load chain between consecutive multiply-adds.
+//
+// R rows x 4V columns starting at C[i][j].
+template <int R, int V>
+void GemmBlockedTile(const float* a, const float* b, float* c, int64_t i,
+                     int64_t j, int64_t n, int64_t k) {
+  Float4 acc[R][V] = {};
+  for (int64_t p = 0; p < k; ++p) {
+    Float4 b_vec[V];
+    std::memcpy(b_vec, b + p * n + j, sizeof(b_vec));
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      const float a_rp = a[(i + r) * k + p];
+#pragma GCC unroll 2
+      for (int v = 0; v < V; ++v) acc[r][v] += a_rp * b_vec[v];
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    std::memcpy(c + (i + r) * n + j, acc[r], sizeof(acc[r]));
+  }
+}
+
+// R rows x the single column j.
+template <int R>
+void GemmBlockedColumn(const float* a, const float* b, float* c, int64_t i,
+                       int64_t j, int64_t n, int64_t k) {
+  float acc[R] = {};
+  for (int64_t p = 0; p < k; ++p) {
+    const float b_pj = b[p * n + j];
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) acc[r] += a[(i + r) * k + p] * b_pj;
+  }
+  for (int r = 0; r < R; ++r) c[(i + r) * n + j] = acc[r];
+}
+
+// Narrow B (1x1 convs on small maps, SE blocks): a row's whole C slice
+// is one j tile, so the memory loop runs its inner loop only n times
+// per p. Columns go in groups of 8 (4-row tiles), then one group of 4
+// and single columns (8-row tiles); leftover rows take 1-row tiles.
+void GemmBlockedNarrowRows(const float* a, const float* b, float* c,
+                           int64_t row0, int64_t row1, int64_t n, int64_t k) {
+  int64_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    int64_t i = row0;
+    for (; i + 4 <= row1; i += 4) GemmBlockedTile<4, 2>(a, b, c, i, j, n, k);
+    for (; i < row1; ++i) GemmBlockedTile<1, 2>(a, b, c, i, j, n, k);
+  }
+  if (j + 4 <= n) {
+    int64_t i = row0;
+    for (; i + 8 <= row1; i += 8) GemmBlockedTile<8, 1>(a, b, c, i, j, n, k);
+    for (; i < row1; ++i) GemmBlockedTile<1, 1>(a, b, c, i, j, n, k);
+    j += 4;
+  }
+  for (; j < n; ++j) {
+    int64_t i = row0;
+    for (; i + 8 <= row1; i += 8) GemmBlockedColumn<8>(a, b, c, i, j, n, k);
+    for (; i < row1; ++i) GemmBlockedColumn<1>(a, b, c, i, j, n, k);
+  }
+}
+
 // Computes output rows [row0, row1) with the blocked backend's loop
 // order. Rows are independent (each reads shared A/B rows, writes a
 // disjoint C range) and a row's accumulation order does not depend on
 // which shard runs it — the basis for bitwise-deterministic sharding.
 void GemmBlockedRows(const float* a, const float* b, float* c, int64_t row0,
                      int64_t row1, int64_t n, int64_t k) {
+  if (n < kTile) {
+    GemmBlockedNarrowRows(a, b, c, row0, row1, n, k);
+    return;
+  }
   std::memset(c + row0 * n, 0,
               static_cast<size_t>((row1 - row0) * n) * sizeof(float));
   for (int64_t i0 = row0; i0 < row1; i0 += kTile) {

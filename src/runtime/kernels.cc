@@ -160,6 +160,90 @@ void ConvIm2col(const Tensor& input, const Tensor& weight, const float* bias,
   }
 }
 
+// acc[q] += w * x[q * stride] for q in [0, count): one tap of a
+// depthwise window applied to every output of a plane.
+void AccumulateTap(float* acc, const float* x, float w, int64_t count,
+                   int64_t stride) {
+  for (int64_t q = 0; q < count; ++q) acc[q] += w * x[q * stride];
+}
+
+// Depthwise convs (groups == C == OC) without the column matrix. The
+// im2col lowering runs each channel as an M=1 GEMM whose B column j is
+// output j's KH*KW window, with zeros at padded taps. This computes the
+// same per-output sums from a zero-padded copy of the plane, in the
+// GEMM backend's own accumulation order:
+//   kNaive, kBlocked: one sequential sum from +0.0f over all taps;
+//   kTransposed:      four partial sums over the taps in groups of four,
+//                     then (s0+s1)+(s2+s3), then the tail taps.
+// Padded taps are multiplied like any other (w * 0.0f), so an inf
+// weight on a padded tap makes the same NaN the GEMM makes. The bias
+// is added last, as on the im2col path, so outputs are bitwise
+// identical to it. (kAvx2's fmaf chain lives in its own TU; that
+// backend stays on im2col.)
+//
+// Sums are kept on a grid as wide as the padded plane: output (oh, ow)
+// sits at q = oh * WP + ow, and tap (kh, kw) reads padded element
+// stride * q + kh * WP + kw. Every tap is then one pass over a single
+// run of q, however small the plane; the columns ow >= OW of that grid
+// are computed and dropped.
+void ConvDepthwise(const Tensor& input, const Tensor& weight,
+                   const float* bias, const ConvParams& p, GemmBackend gemm,
+                   Tensor& out) {
+  const int64_t N = input.shape().dim(0), C = input.shape().dim(1),
+                H = input.shape().dim(2), W = input.shape().dim(3);
+  const int64_t KH = weight.shape().dim(2), KW = weight.shape().dim(3);
+  const int64_t OH = out.shape().dim(2), OW = out.shape().dim(3);
+  const int64_t HP = H + 2 * p.padding, WP = W + 2 * p.padding;
+  const int64_t taps = KH * KW;
+  const int64_t run = (OH - 1) * WP + OW;  // q of the last output + 1
+  const int64_t lanes = gemm == GemmBackend::kTransposed ? 4 : 1;
+
+  // The border stays zero across planes; only the interior is rewritten.
+  util::PooledBuffer padded_buf =
+      AcquireFloatScratch(static_cast<size_t>(HP * WP));
+  float* padded = FloatScratch(padded_buf);
+  std::fill(padded, padded + HP * WP, 0.0f);
+  util::PooledBuffer sums_buf =
+      AcquireFloatScratch(static_cast<size_t>(lanes * run));
+  float* sums = FloatScratch(sums_buf);
+
+  for (int64_t n = 0; n < N; ++n) {
+    for (int64_t c = 0; c < C; ++c) {
+      const float* in_plane = input.data() + (n * C + c) * H * W;
+      for (int64_t ih = 0; ih < H; ++ih) {
+        std::memcpy(padded + (ih + p.padding) * WP + p.padding,
+                    in_plane + ih * W, static_cast<size_t>(W) * sizeof(float));
+      }
+      const float* w = weight.data() + c * taps;
+      auto tap = [&](float* acc, int64_t t) {
+        AccumulateTap(acc, padded + t / KW * WP + t % KW, w[t], run,
+                      p.stride);
+      };
+      std::fill(sums, sums + lanes * run, 0.0f);
+      int64_t t = 0;
+      if (lanes == 4) {
+        for (; t + 4 <= taps; t += 4) {
+          for (int64_t lane = 0; lane < 4; ++lane) {
+            tap(sums + lane * run, t + lane);
+          }
+        }
+        for (int64_t q = 0; q < run; ++q) {
+          sums[q] = (sums[q] + sums[run + q]) +
+                    (sums[2 * run + q] + sums[3 * run + q]);
+        }
+      }
+      for (; t < taps; ++t) tap(sums, t);
+
+      float* out_plane = out.data() + (n * C + c) * OH * OW;
+      for (int64_t oh = 0; oh < OH; ++oh) {
+        std::memcpy(out_plane + oh * OW, sums + oh * WP,
+                    static_cast<size_t>(OW) * sizeof(float));
+      }
+      if (bias) elementwise::AddScalar(out_plane, bias[c], out_plane, OH * OW);
+    }
+  }
+}
+
 template <typename F>
 Tensor ElementwiseUnary(const Tensor& x, F f) {
   Tensor out(x.shape());
@@ -186,8 +270,12 @@ Tensor Conv2d(const Tensor& input, const Tensor& weight, const Tensor* bias,
   Tensor out(
       Shape({input.shape().dim(0), weight.shape().dim(0), OH, OW}));
   const float* b = bias ? bias->data() : nullptr;
+  const bool depthwise = params.groups == input.shape().dim(1) &&
+                         params.groups == weight.shape().dim(0);
   if (algo == ConvAlgo::kDirect) {
     ConvDirect(input, weight, b, params, out);
+  } else if (depthwise && gemm != GemmBackend::kAvx2) {
+    ConvDepthwise(input, weight, b, params, gemm, out);
   } else {
     ConvIm2col(input, weight, b, params, gemm, out);
   }

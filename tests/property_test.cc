@@ -5,6 +5,7 @@
 
 #include <cstring>
 #include <limits>
+#include <string>
 
 #include "core/consistency.h"
 #include "core/messages.h"
@@ -448,10 +449,11 @@ struct ConvCase {
 class ConvGeometrySweep : public ::testing::TestWithParam<ConvCase> {};
 
 TEST_P(ConvGeometrySweep, AlgorithmsAgreeAndTogglesAreBitwiseNoOps) {
-  // Two properties per geometry: (1) kDirect and kIm2col stay within
-  // float tolerance of each other (they are distinct lowerings, not
-  // twins); (2) for EACH algorithm, SIMD dispatch and the pack cache
-  // are speed knobs only — toggling them must reproduce the exact bits.
+  // Two properties per geometry and GEMM backend: (1) kDirect and
+  // kIm2col stay within float tolerance of each other (they are
+  // distinct lowerings, not twins); (2) for EACH algorithm, SIMD
+  // dispatch and the pack cache are speed knobs only — toggling them
+  // must reproduce the exact bits.
   const ConvCase c = GetParam();
   util::Rng rng(static_cast<uint64_t>(
       c.channels * 1'000'000 + c.kernel * 10'000 + c.stride * 1'000 +
@@ -467,30 +469,43 @@ TEST_P(ConvGeometrySweep, AlgorithmsAgreeAndTogglesAreBitwiseNoOps) {
   p.padding = c.padding;
   p.groups = c.groups;
 
-  auto run = [&](runtime::ConvAlgo algo) {
-    return runtime::Conv2d(x, w, &b, p, algo,
-                           runtime::GemmBackend::kAvx2);
+  auto run = [&](runtime::ConvAlgo algo, runtime::GemmBackend gemm) {
+    return runtime::Conv2d(x, w, &b, p, algo, gemm);
   };
-  const Tensor direct = run(runtime::ConvAlgo::kDirect);
-  const Tensor im2col = run(runtime::ConvAlgo::kIm2col);
-  ASSERT_EQ(direct.shape(), im2col.shape());
-  EXPECT_LT(tensor::MaxAbsDiff(direct, im2col), 1e-4);
-
-  for (auto algo : {runtime::ConvAlgo::kDirect, runtime::ConvAlgo::kIm2col}) {
-    const Tensor base = run(algo);
+  auto expect_toggles_are_noops = [&](runtime::ConvAlgo algo,
+                                      runtime::GemmBackend gemm) {
+    const std::string label = std::string(runtime::ConvAlgoName(algo)) +
+                              "/" +
+                              std::string(runtime::GemmBackendName(gemm));
+    const Tensor base = run(algo, gemm);
     {
       util::ScopedForceScalar force_scalar;
-      const Tensor scalar = run(algo);
+      const Tensor scalar = run(algo, gemm);
       EXPECT_EQ(std::memcmp(base.data(), scalar.data(), base.byte_size()), 0)
-          << runtime::ConvAlgoName(algo) << " under forced scalar";
+          << label << " under forced scalar";
     }
     {
       runtime::ScopedDisablePackCache cache_off;
-      const Tensor uncached = run(algo);
+      const Tensor uncached = run(algo, gemm);
       EXPECT_EQ(std::memcmp(base.data(), uncached.data(), base.byte_size()),
                 0)
-          << runtime::ConvAlgoName(algo) << " with pack cache disabled";
+          << label << " with pack cache disabled";
     }
+  };
+
+  // kDirect ignores the GEMM backend: one run is the reference for all.
+  const Tensor direct =
+      run(runtime::ConvAlgo::kDirect, runtime::GemmBackend::kNaive);
+  expect_toggles_are_noops(runtime::ConvAlgo::kDirect,
+                           runtime::GemmBackend::kNaive);
+  for (auto gemm :
+       {runtime::GemmBackend::kNaive, runtime::GemmBackend::kBlocked,
+        runtime::GemmBackend::kTransposed, runtime::GemmBackend::kAvx2}) {
+    const Tensor im2col = run(runtime::ConvAlgo::kIm2col, gemm);
+    ASSERT_EQ(direct.shape(), im2col.shape());
+    EXPECT_LT(tensor::MaxAbsDiff(direct, im2col), 1e-4)
+        << runtime::GemmBackendName(gemm);
+    expect_toggles_are_noops(runtime::ConvAlgo::kIm2col, gemm);
   }
 }
 
@@ -507,7 +522,9 @@ INSTANTIATE_TEST_SUITE_P(
         ConvCase{8, 9, 8, 3, 1, 1, 4},     // grouped
         ConvCase{8, 9, 8, 3, 2, 1, 8},     // depthwise, strided
         ConvCase{4, 7, 4, 5, 1, 2, 2},     // 5x5 grouped on odd input
-        ConvCase{4, 5, 4, 5, 1, 0, 1}),    // kernel == input extent
+        ConvCase{4, 5, 4, 5, 1, 0, 1},     // kernel == input extent
+        ConvCase{576, 1, 144, 1, 1, 0, 1}, // SE block: 1x1 on a 1x1 map
+        ConvCase{8, 9, 8, 5, 2, 2, 8}),    // 5x5 strided depthwise
     [](const auto& info) {
       const ConvCase& c = info.param;
       return "c" + std::to_string(c.channels) + "h" +

@@ -6,6 +6,8 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "graph/builder.h"
 #include "graph/model_zoo.h"
@@ -219,7 +221,226 @@ TEST(GemmCheckedDeathTest, DimensionProductOverflowAborts) {
                "mul_overflow");
 }
 
+// The blocked backend's memory-accumulating tile loop (still its path
+// for n >= 64), copied verbatim as the reference the narrow-B register
+// tile must reproduce bit for bit.
+void ReferenceBlockedRows(const float* a, const float* b, float* c,
+                          int64_t row0, int64_t row1, int64_t n, int64_t k) {
+  constexpr int64_t kTile = 64;
+  std::memset(c + row0 * n, 0,
+              static_cast<size_t>((row1 - row0) * n) * sizeof(float));
+  for (int64_t i0 = row0; i0 < row1; i0 += kTile) {
+    const int64_t i_end = std::min(i0 + kTile, row1);
+    for (int64_t p0 = 0; p0 < k; p0 += kTile) {
+      const int64_t p_end = std::min(p0 + kTile, k);
+      for (int64_t j0 = 0; j0 < n; j0 += kTile) {
+        const int64_t j_end = std::min(j0 + kTile, n);
+        for (int64_t i = i0; i < i_end; ++i) {
+          for (int64_t p = p0; p < p_end; ++p) {
+            const float a_ip = a[i * k + p];
+            const float* b_row = b + p * n;
+            float* c_row = c + i * n;
+            for (int64_t j = j0; j < j_end; ++j) {
+              c_row[j] += a_ip * b_row[j];
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The NaN this machine makes for an invalid operation (inf * 0).
+float GeneratedNan() {
+  volatile float zero = 0.0f;
+  return zero * std::numeric_limits<float>::infinity();
+}
+
+// Fills v uniformly in [-2, 2) with roughly 1 in 16 entries replaced by
+// -0.0f, +inf, -inf or `nan`.
+void FillWithSpecials(std::vector<float>& v, util::Rng& rng, float nan) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {-0.0f, inf, -inf, nan};
+  for (auto& x : v) {
+    const int64_t pick = rng.UniformInt(0, 63);
+    x = pick < 4 ? specials[pick] : rng.UniformFloat(-2.0f, 2.0f);
+  }
+}
+
+TEST(GemmBlockedNarrowTest, RegisterTileIsBitwiseTheMemoryLoop) {
+  util::Rng rng(0x7a11);
+  const float nan = GeneratedNan();
+  for (int trial = 0; trial < 400; ++trial) {
+    // m is often not a multiple of 4 or 8 (row tails); n < 64 takes the
+    // register tile, with 8-, 4- and 1-wide column groups.
+    const int64_t m = rng.UniformInt(1, 37), n = rng.UniformInt(1, 70),
+                  k = rng.UniformInt(0, 90);
+    std::vector<float> a(static_cast<size_t>(m * k)),
+        b(static_cast<size_t>(k * n));
+    FillWithSpecials(a, rng, nan);
+    FillWithSpecials(b, rng, nan);
+    std::vector<float> want(static_cast<size_t>(m * n), 1.0f);
+    std::vector<float> got(static_cast<size_t>(m * n), -1.0f);
+    ReferenceBlockedRows(a.data(), b.data(), want.data(), 0, m, n, k);
+    Gemm(GemmBackend::kBlocked, a.data(), b.data(), got.data(), m, n, k,
+         nullptr);
+    ASSERT_EQ(std::memcmp(want.data(), got.data(), want.size() * sizeof(float)),
+              0)
+        << m << "x" << n << "x" << k;
+  }
+}
+
+TEST(GemmBlockedNarrowTest, ShardedRegisterTileIsBitwiseTheMemoryLoop) {
+  // Big enough to shard over the pool in 64-row tiles.
+  const int64_t m = 4096, n = 32, k = 64;
+  util::Rng rng(0x5a4d);
+  std::vector<float> a(static_cast<size_t>(m * k)),
+      b(static_cast<size_t>(k * n));
+  FillWithSpecials(a, rng, GeneratedNan());
+  FillWithSpecials(b, rng, GeneratedNan());
+  std::vector<float> want(static_cast<size_t>(m * n));
+  std::vector<float> got(static_cast<size_t>(m * n));
+  ReferenceBlockedRows(a.data(), b.data(), want.data(), 0, m, n, k);
+  util::ThreadPool pool(4);
+  Gemm(GemmBackend::kBlocked, a.data(), b.data(), got.data(), m, n, k, &pool);
+  EXPECT_EQ(
+      std::memcmp(want.data(), got.data(), want.size() * sizeof(float)), 0);
+}
+
+TEST(GemmBlockedNarrowTest, MixedNanPayloadsAgreeOnNanPositions) {
+  // When two NaNs with different bits meet in one add (a quiet NaN from
+  // the input and the NaN inf * 0 makes), C++ leaves open which one the
+  // add returns: the compiler may commute it, and the memory loop and
+  // the register tile are compiled differently. Everything else,
+  // including where the NaNs are, must still match exactly.
+  util::Rng rng(0x9e1);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int64_t m = rng.UniformInt(1, 21), n = rng.UniformInt(1, 40),
+                  k = rng.UniformInt(1, 60);
+    std::vector<float> a(static_cast<size_t>(m * k)),
+        b(static_cast<size_t>(k * n));
+    FillWithSpecials(a, rng, std::numeric_limits<float>::quiet_NaN());
+    FillWithSpecials(b, rng, std::numeric_limits<float>::quiet_NaN());
+    std::vector<float> want(static_cast<size_t>(m * n));
+    std::vector<float> got(static_cast<size_t>(m * n));
+    ReferenceBlockedRows(a.data(), b.data(), want.data(), 0, m, n, k);
+    Gemm(GemmBackend::kBlocked, a.data(), b.data(), got.data(), m, n, k,
+         nullptr);
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(std::isnan(want[i]), std::isnan(got[i])) << i;
+      if (!std::isnan(want[i])) {
+        ASSERT_EQ(std::memcmp(&want[i], &got[i], sizeof(float)), 0) << i;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------- kernels
+
+// Depthwise conv as the im2col lowering computes it: per (batch,
+// channel), an explicit column matrix, an M=1 Gemm(backend), then the
+// bias through AddScalar.
+Tensor Im2colDepthwiseReference(const Tensor& x, const Tensor& w,
+                                const Tensor* bias, const ConvParams& p,
+                                GemmBackend backend) {
+  const int64_t N = x.shape().dim(0), C = x.shape().dim(1),
+                H = x.shape().dim(2), W = x.shape().dim(3);
+  const int64_t KH = w.shape().dim(2), KW = w.shape().dim(3);
+  const int64_t OH = (H + 2 * p.padding - KH) / p.stride + 1;
+  const int64_t OW = (W + 2 * p.padding - KW) / p.stride + 1;
+  const int64_t cols = OH * OW;
+  Tensor out(Shape({N, C, OH, OW}));
+  std::vector<float> col(static_cast<size_t>(KH * KW * cols));
+  std::vector<float> res(static_cast<size_t>(cols));
+  for (int64_t n = 0; n < N; ++n) {
+    for (int64_t c = 0; c < C; ++c) {
+      const float* plane = x.data() + (n * C + c) * H * W;
+      for (int64_t kh = 0; kh < KH; ++kh) {
+        for (int64_t kw = 0; kw < KW; ++kw) {
+          for (int64_t oh = 0; oh < OH; ++oh) {
+            for (int64_t ow = 0; ow < OW; ++ow) {
+              const int64_t ih = oh * p.stride + kh - p.padding;
+              const int64_t iw = ow * p.stride + kw - p.padding;
+              const bool inside = ih >= 0 && ih < H && iw >= 0 && iw < W;
+              col[static_cast<size_t>((kh * KW + kw) * cols + oh * OW + ow)] =
+                  inside ? plane[ih * W + iw] : 0.0f;
+            }
+          }
+        }
+      }
+      Gemm(backend, w.data() + c * KH * KW, col.data(), res.data(), 1, cols,
+           KH * KW, nullptr);
+      float* out_plane = out.data() + (n * C + c) * cols;
+      if (bias != nullptr) {
+        elementwise::AddScalar(res.data(), bias->data()[c], out_plane, cols);
+      } else {
+        std::copy(res.begin(), res.end(), out_plane);
+      }
+    }
+  }
+  return out;
+}
+
+void ExpectDepthwiseMatchesIm2col(const Tensor& x, const Tensor& w,
+                                  const Tensor* bias, const ConvParams& p,
+                                  const std::string& label) {
+  for (GemmBackend backend : {GemmBackend::kNaive, GemmBackend::kBlocked,
+                              GemmBackend::kTransposed}) {
+    const Tensor want = Im2colDepthwiseReference(x, w, bias, p, backend);
+    const Tensor got = Conv2d(x, w, bias, p, ConvAlgo::kIm2col, backend);
+    ASSERT_EQ(want.shape(), got.shape()) << label;
+    EXPECT_EQ(std::memcmp(want.data(), got.data(), want.byte_size()), 0)
+        << label << " backend " << GemmBackendName(backend);
+  }
+}
+
+TEST(DepthwiseConvTest, DirectLoweringIsBitwiseIm2colGemm) {
+  util::Rng rng(0xd3);
+  const int64_t C = 5;
+  const Tensor x = Tensor::RandomUniform(Shape({2, C, 11, 9}), rng);
+  for (int64_t kernel : {int64_t{3}, int64_t{5}}) {
+    const Tensor w = Tensor::RandomUniform(Shape({C, 1, kernel, kernel}), rng);
+    const Tensor b = Tensor::RandomUniform(Shape({C}), rng);
+    for (int64_t stride : {int64_t{1}, int64_t{2}}) {
+      for (int64_t padding : {int64_t{0}, int64_t{1}, int64_t{2}}) {
+        const ConvParams p{stride, padding, C};
+        const std::string label = "k" + std::to_string(kernel) + " s" +
+                                  std::to_string(stride) + " p" +
+                                  std::to_string(padding);
+        ExpectDepthwiseMatchesIm2col(x, w, &b, p, label + " bias");
+        ExpectDepthwiseMatchesIm2col(x, w, nullptr, p, label + " no bias");
+      }
+    }
+  }
+}
+
+TEST(DepthwiseConvTest, InfWeightOnPaddedTapAndNegativeZero) {
+  util::Rng rng(0xd4);
+  const int64_t C = 3;
+  const ConvParams p{1, 1, C};
+  const Tensor x = Tensor::RandomUniform(Shape({2, C, 7, 6}), rng);
+  Tensor w = Tensor::RandomUniform(Shape({C, 1, 3, 3}), rng);
+  // Tap (0, 0) reads the zero padding for every output in row 0 and
+  // column 0: inf * 0.0f is NaN there, and +-inf everywhere else.
+  w.data()[0] = std::numeric_limits<float>::infinity();
+  const Tensor b = Tensor::RandomUniform(Shape({C}), rng);
+  const Tensor got = Conv2d(x, w, &b, p, ConvAlgo::kIm2col,
+                            GemmBackend::kNaive);
+  EXPECT_TRUE(std::isnan(got.at4(0, 0, 0, 0)));
+  EXPECT_TRUE(std::isinf(got.at4(0, 0, 1, 1)));
+  ExpectDepthwiseMatchesIm2col(x, w, &b, p, "inf weight");
+
+  // Every product is -0.0f and every sum starts from +0.0f, so the
+  // output is +0.0f, and adding a -0.0f bias keeps it +0.0f.
+  const Tensor neg_x = Tensor::Full(Shape({1, C, 5, 5}), -0.0f);
+  const Tensor pos_w = Tensor::Full(Shape({C, 1, 3, 3}), 0.5f);
+  const Tensor neg_b = Tensor::Full(Shape({C}), -0.0f);
+  ExpectDepthwiseMatchesIm2col(neg_x, pos_w, &neg_b, p, "-0 bias");
+  ExpectDepthwiseMatchesIm2col(neg_x, pos_w, nullptr, p, "-0 no bias");
+  const Tensor zero = Conv2d(neg_x, pos_w, nullptr, p, ConvAlgo::kIm2col,
+                             GemmBackend::kTransposed);
+  EXPECT_FALSE(std::signbit(zero.at(0)));
+}
 
 TEST(KernelTest, Conv1x1IsChannelMix) {
   // 1x1 conv = per-pixel linear map over channels.
