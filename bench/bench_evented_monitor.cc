@@ -1,13 +1,14 @@
 // Evented-monitor micro-benchmark: the blocking event loop and the
-// digest prefilter on replicated 3-variant panels.
+// exact checkpoint vote on replicated vs diversified 3-variant panels.
 //
-// Two runs of the same pipelined deployment, digest prefilter off vs
-// on. Replicated panels produce byte-identical outputs, so with the
-// prefilter every checkpoint vote degenerates to O(k) hashes; the
-// verify-time column must drop accordingly. The wait column shows the
-// loop blocking on the transport WaitSet (time formerly burned
-// busy-polling), and the prefilter columns show hit/full-check counts
-// from the consistency layer.
+// Two runs of the same pipelined deployment, one per pool. Replicated
+// panels produce byte-identical outputs, so every pairwise check is
+// decided by comparing bytes (hits) and none runs the metric (full).
+// Diversified panels differ in the last bits, so every pair runs the
+// metric; the verify-time column shows what that scan costs. The wait
+// column shows the loop blocking on the transport WaitSet. Exits
+// non-zero if the replicated row has any full check or no hit: those
+// are exact counts, not timings.
 #include "bench/bench_common.h"
 
 namespace mvtee::bench {
@@ -30,8 +31,8 @@ uint64_t CounterOf(const obs::RegistrySnapshot& s, const std::string& name) {
 
 int Main() {
   PrintFigureHeader("Evented monitor",
-                    "Blocking WaitSet loop + digest prefilter on "
-                    "replicated k=3 panels (pipelined)");
+                    "Blocking WaitSet loop + exact vote on replicated vs "
+                    "diversified k=3 panels (pipelined)");
 
   const int kBatches = 12;
   graph::Graph model =
@@ -41,61 +42,61 @@ int Main() {
   MvteeSetup setup;
   setup.partitions = 4;
   setup.seed = 23;
-  setup.pool.replicated = true;  // byte-identical panel outputs
   setup.pool.variants_per_stage = 3;
   setup.pool.verify = false;
   setup.variant_counts = {3, 3, 3, 3};
+  setup.monitor.check = core::CheckPolicy::Cosine(0.99);
   setup.monitor.vote = core::VotePolicy::kMajority;
   setup.monitor.reaction = core::ReactionPolicy::ContinueWithWinner();
   setup.host.network = transport::NetworkCostModel::TenGbE();
 
-  auto bundle = BuildBenchBundle(model, setup);
-  if (!bundle.ok()) {
-    std::printf("offline failed: %s\n", bundle.status().ToString().c_str());
-    return 1;
-  }
-
-  std::printf("%-10s | %8s %8s | %10s %10s | %10s %6s | %9s %6s\n",
-              "prefilter", "tput b/s", "lat ms", "verify ms", "jobs",
-              "wait ms", "waits", "hits", "full");
+  std::printf("%-11s | %8s %8s | %10s %10s | %10s %6s | %9s %6s\n", "pool",
+              "tput b/s", "lat ms", "verify ms", "jobs", "wait ms", "waits",
+              "hits", "full");
   PrintRule();
 
-  double verify_ms[2] = {0, 0};
-  for (bool prefilter : {false, true}) {
-    setup.monitor.digest_prefilter = prefilter;
+  int failed = 0;
+  for (bool replicated : {true, false}) {
+    const char* pool = replicated ? "replicated" : "diversified";
+    setup.pool.replicated = replicated;
+    auto bundle = BuildBenchBundle(model, setup);
+    if (!bundle.ok()) {
+      std::printf("%-11s | offline failed: %s\n", pool,
+                  bundle.status().ToString().c_str());
+      ++failed;
+      continue;
+    }
     auto base = MetricsBaseline();
     auto out = RunMvtee(*bundle, setup, batches, /*pipelined=*/true);
     if (!out.ok()) {
-      std::printf("run failed: %s\n", out.status().ToString().c_str());
-      return 1;
+      std::printf("%-11s | run failed: %s\n", pool,
+                  out.status().ToString().c_str());
+      ++failed;
+      continue;
     }
     auto delta = obs::Registry::Default().Snapshot().DeltaSince(base);
-    const double vms = HistSum(delta, "monitor.verify_job_us") / 1000.0;
-    verify_ms[prefilter ? 1 : 0] = vms;
-    std::printf("%-10s | %8.1f %8.2f | %10.2f %10llu | %10.2f %6llu | "
+    const uint64_t hits = CounterOf(delta, "monitor.prefilter_hits");
+    const uint64_t full = CounterOf(delta, "monitor.full_checks");
+    std::printf("%-11s | %8.1f %8.2f | %10.2f %10llu | %10.2f %6llu | "
                 "%9llu %6llu\n",
-                prefilter ? "on" : "off", out->throughput,
-                out->mean_latency_ms, vms,
+                pool, out->throughput, out->mean_latency_ms,
+                HistSum(delta, "monitor.verify_job_us") / 1000.0,
                 static_cast<unsigned long long>(
                     HistCount(delta, "monitor.verify_job_us")),
                 HistSum(delta, "monitor.wait_us") / 1000.0,
                 static_cast<unsigned long long>(
                     HistCount(delta, "monitor.wait_us")),
-                static_cast<unsigned long long>(
-                    CounterOf(delta, "monitor.prefilter_hits")),
-                static_cast<unsigned long long>(
-                    CounterOf(delta, "monitor.full_checks")));
-    DumpMetricsJson(prefilter ? "evented_monitor/prefilter_on"
-                              : "evented_monitor/prefilter_off",
-                    &base);
+                static_cast<unsigned long long>(hits),
+                static_cast<unsigned long long>(full));
+    DumpMetricsJson(std::string("evented_monitor/") + pool, &base);
+    if (replicated && (full != 0 || hits == 0)) {
+      std::printf("%-11s | FAIL: byte-identical panels must be decided "
+                  "without the metric scan\n", pool);
+      ++failed;
+    }
   }
   PrintRule();
-  if (verify_ms[0] > 0) {
-    std::printf("prefilter verify-time: %.2f ms -> %.2f ms (%.1fx)\n",
-                verify_ms[0], verify_ms[1],
-                verify_ms[1] > 0 ? verify_ms[0] / verify_ms[1] : 0.0);
-  }
-  return 0;
+  return ExitCode(failed);
 }
 
 }  // namespace

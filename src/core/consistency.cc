@@ -1,9 +1,7 @@
 #include "core/consistency.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstring>
-#include <functional>
+#include <utility>
 
 namespace mvtee::core {
 
@@ -19,88 +17,97 @@ std::string_view ConsistencyMetricName(ConsistencyMetric metric) {
   return "unknown";
 }
 
-bool OutputsConsistent(const std::vector<Tensor>& a,
-                       const std::vector<Tensor>& b,
-                       const CheckPolicy& policy) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].shape() != b[i].shape()) return false;
-    if (tensor::HasNonFinite(a[i]) || tensor::HasNonFinite(b[i])) {
-      return false;
-    }
-    switch (policy.metric) {
-      case ConsistencyMetric::kCosine:
-        if (tensor::CosineSimilarity(a[i], b[i]) < policy.threshold) {
-          return false;
-        }
-        break;
-      case ConsistencyMetric::kMse:
-        if (tensor::MeanSquaredError(a[i], b[i]) > policy.threshold) {
-          return false;
-        }
-        break;
-      case ConsistencyMetric::kMaxAbsDiff:
-        if (tensor::MaxAbsDiff(a[i], b[i]) > policy.threshold) return false;
-        break;
-      case ConsistencyMetric::kAllClose:
-        if (!tensor::AllClose(a[i], b[i], policy.rtol, policy.atol)) {
-          return false;
-        }
-        break;
-    }
-  }
-  return true;
-}
-
 namespace {
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-inline void FnvMix(uint64_t& h, const void* data, size_t len) {
-  const auto* p = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
+bool AnyNonFinite(const std::vector<Tensor>& outputs) {
+  for (const Tensor& t : outputs) {
+    if (tensor::HasNonFinite(t)) return true;
   }
+  return false;
 }
 
-// Shared bloc-clustering vote: `consistent(i, j)` decides pairwise
-// equivalence between live variants i and j.
-VoteResult VoteImpl(const std::vector<std::vector<Tensor>>& outputs,
-                    VotePolicy vote_policy,
-                    const std::function<bool(int, int)>& consistent) {
-  const int n = static_cast<int>(outputs.size());
+bool SameBytes(const Tensor& a, const Tensor& b) {
+  const size_t bytes = a.byte_size();
+  return bytes == b.byte_size() &&
+         (bytes == 0 || std::memcmp(a.data(), b.data(), bytes) == 0);
+}
+
+bool MetricAccepts(const Tensor& a, const Tensor& b,
+                   const CheckPolicy& policy) {
+  switch (policy.metric) {
+    case ConsistencyMetric::kCosine:
+      return tensor::CosineSimilarity(a, b) >= policy.threshold;
+    case ConsistencyMetric::kMse:
+      return tensor::MeanSquaredError(a, b) <= policy.threshold;
+    case ConsistencyMetric::kMaxAbsDiff:
+      return tensor::MaxAbsDiff(a, b) <= policy.threshold;
+    case ConsistencyMetric::kAllClose:
+      return tensor::AllClose(a, b, policy.rtol, policy.atol);
+  }
+  return false;
+}
+
+// The pair check with each side's non-finite flag already known.
+bool Consistent(const std::vector<Tensor>& a, bool a_nonfinite,
+                const std::vector<Tensor>& b, bool b_nonfinite,
+                const CheckPolicy& policy, CheckStats* stats) {
+  bool consistent = a.size() == b.size() && !a_nonfinite && !b_nonfinite;
+  for (size_t i = 0; consistent && i < a.size(); ++i) {
+    consistent = a[i].shape() == b[i].shape();
+  }
+  bool scanned = false;
+  for (size_t i = 0; consistent && i < a.size(); ++i) {
+    if (SameBytes(a[i], b[i])) continue;
+    scanned = true;
+    consistent = MetricAccepts(a[i], b[i], policy);
+  }
+  if (stats) (scanned ? stats->full_checks : stats->prefilter_hits) += 1;
+  return consistent;
+}
+
+}  // namespace
+
+bool OutputsConsistent(const std::vector<Tensor>& a,
+                       const std::vector<Tensor>& b, const CheckPolicy& policy,
+                       CheckStats* stats) {
+  return Consistent(a, AnyNonFinite(a), b, AnyNonFinite(b), policy, stats);
+}
+
+VoteResult Vote(const std::vector<std::vector<Tensor>>& outputs,
+                const CheckPolicy& policy, VotePolicy vote_policy,
+                CheckStats* stats) {
+  const size_t n = outputs.size();
   VoteResult result;
   if (n == 0) return result;
+  std::vector<char> nonfinite(n);
+  for (size_t i = 0; i < n; ++i) nonfinite[i] = AnyNonFinite(outputs[i]);
 
   // Cluster by consistency with a bloc representative (greedy; adequate
   // because equivalence is near-transitive under calibrated thresholds).
-  std::vector<int> bloc_of(static_cast<size_t>(n), -1);
-  std::vector<int> representatives;
-  for (int i = 0; i < n; ++i) {
-    if (outputs[static_cast<size_t>(i)].empty()) continue;  // failed variant
+  std::vector<int> bloc_of(n, -1);
+  std::vector<size_t> representatives;
+  for (size_t i = 0; i < n; ++i) {
+    if (outputs[i].empty()) continue;  // failed variant
     for (size_t b = 0; b < representatives.size(); ++b) {
-      if (consistent(i, representatives[b])) {
-        bloc_of[static_cast<size_t>(i)] = static_cast<int>(b);
+      const size_t rep = representatives[b];
+      if (Consistent(outputs[i], nonfinite[i], outputs[rep], nonfinite[rep],
+                     policy, stats)) {
+        bloc_of[i] = static_cast<int>(b);
         break;
       }
     }
-    if (bloc_of[static_cast<size_t>(i)] == -1) {
-      bloc_of[static_cast<size_t>(i)] =
-          static_cast<int>(representatives.size());
+    if (bloc_of[i] == -1) {
+      bloc_of[i] = static_cast<int>(representatives.size());
       representatives.push_back(i);
     }
   }
 
-  // Bloc sizes.
-  std::vector<int> bloc_size(representatives.size(), 0);
-  for (int i = 0; i < n; ++i) {
-    if (bloc_of[static_cast<size_t>(i)] >= 0) {
-      bloc_size[static_cast<size_t>(bloc_of[static_cast<size_t>(i)])]++;
-    }
+  std::vector<size_t> bloc_size(representatives.size(), 0);
+  for (size_t i = 0; i < n; ++i) {
+    if (bloc_of[i] >= 0) bloc_size[static_cast<size_t>(bloc_of[i])]++;
   }
-  int best_bloc = -1, best_size = 0;
+  int best_bloc = -1;
+  size_t best_size = 0;
   for (size_t b = 0; b < bloc_size.size(); ++b) {
     if (bloc_size[b] > best_size) {
       best_size = bloc_size[b];
@@ -108,93 +115,39 @@ VoteResult VoteImpl(const std::vector<std::vector<Tensor>>& outputs,
     }
   }
 
-  const bool accepted =
-      vote_policy == VotePolicy::kUnanimous
-          ? (best_size == n && representatives.size() == 1)
-          : (best_size * 2 > n);
-
-  result.accepted = accepted;
-  result.winner = accepted ? representatives[static_cast<size_t>(best_bloc)]
-                           : -1;
-  for (int i = 0; i < n; ++i) {
-    if (bloc_of[static_cast<size_t>(i)] != best_bloc) {
-      result.dissenters.push_back(i);
+  result.accepted = vote_policy == VotePolicy::kUnanimous
+                        ? (best_size == n && representatives.size() == 1)
+                        : (best_size * 2 > n);
+  result.winner =
+      result.accepted
+          ? static_cast<int>(representatives[static_cast<size_t>(best_bloc)])
+          : -1;
+  for (size_t i = 0; i < n; ++i) {
+    if (bloc_of[i] != best_bloc) {
+      result.dissenters.push_back(static_cast<int>(i));
     }
   }
   return result;
 }
 
-}  // namespace
-
-OutputsSummary SummarizeOutputs(const std::vector<Tensor>& outputs) {
-  OutputsSummary s;
-  if (outputs.empty()) return s;
-  s.valid = true;
-  uint64_t h = kFnvOffset;
-  for (const Tensor& t : outputs) {
-    const auto& dims = t.shape().dims();
-    uint64_t rank = static_cast<uint64_t>(dims.size());
-    FnvMix(h, &rank, sizeof(rank));
-    if (!dims.empty()) {
-      FnvMix(h, dims.data(), dims.size() * sizeof(dims[0]));
-    }
-    const float* data = t.data();
-    const size_t count = t.storage_size();
-    if (count > 0) FnvMix(h, data, count * sizeof(float));
-    for (size_t i = 0; i < count; ++i) {
-      if (!std::isfinite(data[i])) {
-        s.nonfinite = true;
-        break;
+Bloc LargestBloc(const std::vector<const std::vector<Tensor>*>& outputs,
+                 const CheckPolicy& policy, CheckStats* stats) {
+  const size_t n = outputs.size();
+  std::vector<char> nonfinite(n);
+  for (size_t i = 0; i < n; ++i) nonfinite[i] = AnyNonFinite(*outputs[i]);
+  Bloc best;
+  for (size_t rep = 0; rep < n; ++rep) {
+    Bloc bloc{rep, std::vector<char>(n, 0), 0};
+    for (size_t o = 0; o < n; ++o) {
+      if (Consistent(*outputs[o], nonfinite[o], *outputs[rep], nonfinite[rep],
+                     policy, stats)) {
+        bloc.members[o] = 1;
+        ++bloc.size;
       }
     }
+    if (bloc.size > best.size) best = std::move(bloc);
   }
-  s.digest = h;
-  return s;
-}
-
-bool OutputsConsistent(const std::vector<Tensor>& a, const OutputsSummary& sa,
-                       const std::vector<Tensor>& b, const OutputsSummary& sb,
-                       const CheckPolicy& policy, CheckStats* stats) {
-  if (sa.valid && sb.valid) {
-    if (sa.nonfinite || sb.nonfinite) {
-      if (stats) stats->prefilter_hits += 1;
-      return false;  // non-finite always fails, no scan needed
-    }
-    if (sa.digest == sb.digest && a.size() == b.size()) {
-      // Byte-identical (modulo a hash collision, acceptable for a
-      // performance filter over trusted variant replicas) => consistent
-      // under every metric.
-      if (stats) stats->prefilter_hits += 1;
-      return true;
-    }
-  }
-  if (stats) stats->full_checks += 1;
-  return OutputsConsistent(a, b, policy);
-}
-
-VoteResult Vote(const std::vector<std::vector<Tensor>>& outputs,
-                const CheckPolicy& policy, VotePolicy vote_policy) {
-  return VoteImpl(outputs, vote_policy, [&](int i, int j) {
-    return OutputsConsistent(outputs[static_cast<size_t>(i)],
-                             outputs[static_cast<size_t>(j)], policy);
-  });
-}
-
-VoteResult Vote(const std::vector<std::vector<Tensor>>& outputs,
-                const std::vector<OutputsSummary>& summaries,
-                const CheckPolicy& policy, VotePolicy vote_policy,
-                CheckStats* stats) {
-  static const OutputsSummary kInvalid;
-  auto summary_of = [&](int i) -> const OutputsSummary& {
-    return static_cast<size_t>(i) < summaries.size()
-               ? summaries[static_cast<size_t>(i)]
-               : kInvalid;
-  };
-  return VoteImpl(outputs, vote_policy, [&](int i, int j) {
-    return OutputsConsistent(outputs[static_cast<size_t>(i)], summary_of(i),
-                             outputs[static_cast<size_t>(j)], summary_of(j),
-                             policy, stats);
-  });
+  return best;
 }
 
 }  // namespace mvtee::core

@@ -46,40 +46,25 @@ struct CheckPolicy {
   }
 };
 
-// Single-pair check over full output lists (shapes must match, every
-// tensor must pass, and non-finite values always fail).
-bool OutputsConsistent(const std::vector<tensor::Tensor>& a,
-                       const std::vector<tensor::Tensor>& b,
-                       const CheckPolicy& policy);
-
-// Digest prefilter (one pass per report, computed on ingestion): FNV-1a
-// over shapes + raw bytes of every output tensor, plus a non-finite
-// flag from the same pass. Byte-identical, all-finite output lists are
-// consistent under every metric/threshold, so equal digests
-// short-circuit the element-wise scan — the common all-agree case for
-// replicated variants costs O(k) hashes instead of O(k²) tensor scans.
-struct OutputsSummary {
-  uint64_t digest = 0;
-  bool nonfinite = false;
-  bool valid = false;  // false for failed variants (empty outputs)
-};
-
-OutputsSummary SummarizeOutputs(const std::vector<tensor::Tensor>& outputs);
-
-// Counters a caller can aggregate into obs (prefilter effectiveness).
+// Counters a caller can aggregate into obs. Every pair check counts
+// exactly once.
 struct CheckStats {
-  uint64_t prefilter_hits = 0;   // pairs decided by digest equality
-  uint64_t full_checks = 0;      // pairs that needed the element-wise scan
+  // Pairs decided without the metric scan: a shape mismatch, a
+  // non-finite value, or byte-identical payloads.
+  uint64_t prefilter_hits = 0;
+  // Pairs where the configured metric scanned at least one tensor.
+  uint64_t full_checks = 0;
 };
 
-// Summary-accelerated pair check. Falls back to the element-wise metric
-// when digests differ (close-but-not-identical outputs of diversified
-// variants). Exactly equivalent to the plain overload for all-finite
-// data; non-finite data fails either way.
+// Single-pair check over full output lists. Per tensor: shapes must
+// match; a NaN or infinity on either side is inconsistent (even when
+// both sides hold the same bytes); byte-identical payloads are
+// consistent under every metric; anything else runs the metric. The
+// equality shortcut compares the bytes themselves, never a summary a
+// variant could forge.
 bool OutputsConsistent(const std::vector<tensor::Tensor>& a,
-                       const OutputsSummary& sa,
                        const std::vector<tensor::Tensor>& b,
-                       const OutputsSummary& sb, const CheckPolicy& policy,
+                       const CheckPolicy& policy,
                        CheckStats* stats = nullptr);
 
 enum class VotePolicy : uint8_t {
@@ -97,17 +82,22 @@ struct VoteResult {
 };
 
 // `outputs[i]` empty => variant i failed (crash / refused input); a
-// failed variant always dissents. Panels of one trivially accept.
+// failed variant always dissents. Panels of one trivially accept. Each
+// list's non-finite flag is computed once, not once per pair.
 VoteResult Vote(const std::vector<std::vector<tensor::Tensor>>& outputs,
-                const CheckPolicy& policy, VotePolicy vote_policy);
-
-// Summary-accelerated vote: `summaries[i]` must be SummarizeOutputs of
-// `outputs[i]` (invalid summaries are recomputed). Same decision as the
-// plain overload; `stats` reports how many pairwise checks the digest
-// prefilter absorbed.
-VoteResult Vote(const std::vector<std::vector<tensor::Tensor>>& outputs,
-                const std::vector<OutputsSummary>& summaries,
                 const CheckPolicy& policy, VotePolicy vote_policy,
                 CheckStats* stats = nullptr);
+
+// The largest consistent bloc among healthy outputs (the async quorum
+// scan, Fig. 8): every output is tried as the representative, ties keep
+// the earliest. A non-finite output joins no bloc, not even its own.
+struct Bloc {
+  size_t representative = 0;
+  std::vector<char> members;  // members[i] != 0: outputs[i] joined
+  size_t size = 0;            // 0 = no bloc formed (members empty)
+};
+Bloc LargestBloc(
+    const std::vector<const std::vector<tensor::Tensor>*>& outputs,
+    const CheckPolicy& policy, CheckStats* stats = nullptr);
 
 }  // namespace mvtee::core

@@ -280,8 +280,7 @@ util::Status SendFrame(transport::MsgChannel& channel, const StageDataMsg& msg,
 }
 
 size_t EncodedSize(const SessionSubmitMsg& msg) {
-  const size_t head = 1 + 8 + 8 + 4 + LpSize(msg.tenant.size()) +
-                      LpSize(msg.model.size());
+  const size_t head = 1 + 8 + 8 + 4 + LpSize(msg.tenant.size());
   return head + TensorsEncodedSize(head, msg.inputs);
 }
 
@@ -292,7 +291,6 @@ void EncodeSessionSubmitInto(const SessionSubmitMsg& msg, util::Bytes& out) {
   util::AppendU64(out, static_cast<uint64_t>(msg.deadline_us));
   util::AppendU32(out, static_cast<uint32_t>(msg.priority));
   util::AppendLengthPrefixedStr(out, msg.tenant);
-  util::AppendLengthPrefixedStr(out, msg.model);
   AppendTensors(out, frame_base, msg.inputs);
 }
 
@@ -684,8 +682,7 @@ util::Result<SessionSubmitMsg> DecodeSessionSubmitImpl(
   uint32_t priority;
   if (!reader.ReadU64(msg.seq) || !reader.ReadU64(deadline) ||
       !reader.ReadU32(priority) ||
-      !reader.ReadLengthPrefixedStr(msg.tenant) ||
-      !reader.ReadLengthPrefixedStr(msg.model)) {
+      !reader.ReadLengthPrefixedStr(msg.tenant)) {
     return util::InvalidArgument("malformed SessionSubmit");
   }
   // A negative deadline is NOT a decode error: the server answers it

@@ -197,7 +197,6 @@ struct SessionSubmitMsg {
   // label can skew fairness for the forging client, never integrity.
   std::string tenant;    // "" = shared default tenant
   int32_t priority = 0;  // higher dispatches earlier within a tenant
-  std::string model;     // model-zoo route ("" = the service default)
   std::vector<tensor::Tensor> inputs;  // one model-input batch
 };
 

@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "core/verify_pool.h"
+#include "crypto/sha256.h"
 #include "obs/flight_recorder.h"
 #include "obs/timeline.h"
 #include "util/clock.h"
@@ -35,7 +36,6 @@ struct ServiceState {
     // Scheduling metadata.
     std::string tenant;
     int32_t priority = 0;
-    std::string model;
     std::promise<InferenceResponse> response;
   };
 
@@ -111,6 +111,27 @@ struct ServiceState {
 };
 
 }  // namespace internal
+
+namespace {
+
+// Evidence fingerprint of one report's outputs: hex SHA-256 over each
+// tensor's rank, dims and payload bytes.
+std::string OutputsFingerprint(const std::vector<Tensor>& outputs) {
+  crypto::Sha256 hash;
+  auto update = [&hash](const void* data, size_t size) {
+    hash.Update({static_cast<const uint8_t*>(data), size});
+  };
+  for (const Tensor& t : outputs) {
+    const auto& dims = t.shape().dims();
+    const uint64_t rank = dims.size();
+    update(&rank, sizeof(rank));
+    update(dims.data(), dims.size() * sizeof(dims[0]));
+    update(t.data(), t.byte_size());
+  }
+  return util::HexEncode(hash.Finish());
+}
+
+}  // namespace
 
 Session::Session(std::shared_ptr<internal::ServiceState> state, uint64_t id)
     : state_(std::move(state)), id_(id) {}
@@ -196,7 +217,6 @@ util::Result<std::future<InferenceResponse>> Session::SubmitSequenced(
                                : 0;
     item.tenant = std::move(request.tenant);
     item.priority = request.priority;
-    item.model = std::move(request.model);
     item.inputs = std::move(request.inputs);
     future = item.response.get_future();
     st.queue.push_back(std::move(item));
@@ -1104,12 +1124,7 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
     // slot can be read from a verify worker without racing the
     // ingestion thread writing other slots.
     std::map<size_t, std::vector<std::optional<InferResultMsg>>> reports;
-    // Per stage: digest summary per panel slot (prefilter, computed
-    // once on ingestion).
-    std::map<size_t, std::vector<OutputsSummary>> summaries;
     std::map<size_t, std::vector<Tensor>> chosen;
-    // Lazily cached summary of the chosen outputs (straggler checks).
-    std::map<size_t, OutputsSummary> chosen_summary;
     std::map<size_t, int64_t> v_chosen;  // virtual decision time per stage
     std::set<size_t> voted;  // stages whose verdict is final
     std::set<size_t> verify_inflight;  // stages with a pool job running
@@ -1122,7 +1137,6 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
     // Shadow (probation) reports, judged against the accepted outputs
     // once the stage verdict commits — never part of the vote.
     std::map<size_t, std::vector<std::optional<InferResultMsg>>> shadow;
-    std::map<size_t, std::vector<OutputsSummary>> shadow_sums;
     // Input sends completed per stage; a stage "owes" reports only once
     // feeds_done == stage_feed_count_ (timeout classification).
     std::vector<size_t> feeds_done;
@@ -1150,6 +1164,9 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
   bool evidence_dumped = false;
   // Records one checkpoint verdict. `fast` supplies the report on the
   // fast path (k == 1), where the panel-report map is never populated.
+  // Only a verdict other than "accepted" fingerprints the reported
+  // outputs: an accepted verdict has no dissenters, so every member
+  // matched the forwarded value and was finite.
   auto note_checkpoint = [&](size_t s, size_t b, std::string verdict,
                              int64_t v_decide,
                              const std::vector<int>& dissenters = {},
@@ -1160,24 +1177,29 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
     ev.stage = static_cast<int32_t>(s);
     ev.verdict = std::move(verdict);
     ev.v_decide_us = v_decide;
+    const bool fingerprint = ev.verdict != "accepted";
     BatchState& state = bat(b);
     const size_t k = stages_[s].variants.size();
     const auto rit = state.reports.find(s);
-    const auto sit = state.summaries.find(s);
     for (size_t i = 0; i < k; ++i) {
       obs::VariantEvidence ve;
       ve.variant_id = stages_[s].variants[i].id;
+      const InferResultMsg* r = nullptr;
       if (fast != nullptr && k == 1) {
-        ve.ok = fast->ok;
-        ve.vtime_us = fast->vtime_us;
+        r = fast;
       } else if (rit != state.reports.end() && i < rit->second.size() &&
                  rit->second[i].has_value()) {
-        ve.ok = rit->second[i]->ok;
-        ve.vtime_us = rit->second[i]->vtime_us;
+        r = &*rit->second[i];
       }
-      if (sit != state.summaries.end() && i < sit->second.size()) {
-        ve.digest = sit->second[i].digest;
-        ve.nonfinite = sit->second[i].nonfinite;
+      if (r != nullptr) {
+        ve.ok = r->ok;
+        ve.vtime_us = r->vtime_us;
+        if (fingerprint && r->ok) {
+          ve.digest = OutputsFingerprint(r->outputs);
+          for (const Tensor& t : r->outputs) {
+            if (tensor::HasNonFinite(t)) ve.nonfinite = true;
+          }
+        }
       }
       for (int d : dissenters) {
         if (d == static_cast<int>(i)) ve.dissent = true;
@@ -1422,7 +1444,7 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
     }
   };
 
-  // Aggregate prefilter/verify-cost bookkeeping (applied on the
+  // Aggregate pair-check/verify-cost bookkeeping (applied on the
   // monitor thread by job appliers). `b` attributes the verification
   // CPU to its batch for the per-request latency breakdown.
   auto note_verify_job = [&](size_t b, int64_t verify_cpu,
@@ -1451,24 +1473,14 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
   };
 
   // Inline straggler/backfill consistency check against the accepted
-  // outputs (prefiltered; cheap enough for the ingestion thread).
+  // outputs (one pair check; cheap enough for the ingestion thread).
   auto dissents_from_chosen = [&](BatchState& state, size_t s,
-                                  const InferResultMsg& r,
-                                  const OutputsSummary& rsum) {
+                                  const InferResultMsg& r) {
     if (!r.ok) return true;
     if (!state.chosen.count(s)) return false;
-    if (!config_.digest_prefilter) {
-      return !OutputsConsistent(r.outputs, state.chosen[s], config_.check);
-    }
-    auto it = state.chosen_summary.find(s);
-    if (it == state.chosen_summary.end() || !it->second.valid) {
-      it = state.chosen_summary
-               .insert_or_assign(s, SummarizeOutputs(state.chosen[s]))
-               .first;
-    }
     CheckStats cstats;
-    const bool ok = OutputsConsistent(r.outputs, rsum, state.chosen[s],
-                                      it->second, config_.check, &cstats);
+    const bool ok = OutputsConsistent(r.outputs, state.chosen[s],
+                                      config_.check, &cstats);
     m_.prefilter_hits->Add(cstats.prefilter_hits);
     m_.full_checks->Add(cstats.full_checks);
     return !ok;
@@ -1483,8 +1495,7 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
     if (shit == state.shadow.end() || !shit->second[vi].has_value()) return;
     InferResultMsg r = std::move(*shit->second[vi]);
     shit->second[vi].reset();  // judged exactly once
-    const OutputsSummary rsum = state.shadow_sums[s][vi];
-    const bool agreed = r.ok && !dissents_from_chosen(state, s, r, rsum);
+    const bool agreed = r.ok && !dissents_from_chosen(state, s, r);
     switch (supervisor_->ReportProbation(s, vi, agreed, util::NowMicros())) {
       case Supervisor::ProbationOutcome::kReadmitted:
         note_lifecycle(s, vi, "readmit", b, "probation complete");
@@ -1526,7 +1537,6 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
     std::vector<size_t> vmap;       // vote-list position -> panel index
     std::vector<int> auto_dissent;  // participating, excluded from list
     std::vector<const InferResultMsg*> settled;
-    std::vector<OutputsSummary> sums;
     for (size_t i = 0; i < k; ++i) {
       if (supervised && state.masks[s][i] != 1) continue;
       const auto& r = state.reports[s][i];
@@ -1536,8 +1546,6 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
       }
       vmap.push_back(i);
       settled.push_back(r.has_value() ? &*r : nullptr);
-      sums.push_back(i < state.summaries[s].size() ? state.summaries[s][i]
-                                                   : OutputsSummary{});
     }
     VotePolicy vote_policy = config_.vote;
     if (supervised && config_.reaction.degrade_to_majority) {
@@ -1545,15 +1553,13 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
       // from the winning bloc); dissent still drives quarantine.
       vote_policy = VotePolicy::kMajority;
     }
-    const bool prefilter = config_.digest_prefilter;
     const CheckPolicy check = config_.check;
     obs::Histogram* verify_hist = stages_[s].metrics.verify_us;
     ++state.jobs_inflight;  // released by the applier (monitor thread)
     pool.Submit([this, s, b, k, st, base, tid = trace_ids[b],
                  vmap = std::move(vmap),
                  auto_dissent = std::move(auto_dissent),
-                 settled = std::move(settled),
-                 sums = std::move(sums), prefilter, check, vote_policy,
+                 settled = std::move(settled), check, vote_policy,
                  verify_hist, &rstats, &run_error, &on_chosen,
                  &note_verify_job, &note_checkpoint, &dump_evidence,
                  &begin_decision_event,
@@ -1577,14 +1583,13 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
                               .batch = static_cast<int64_t>(base + b),
                               .tag = "vote"},
                              &obs::TraceBuffer::Default(), verify_hist);
-        vote = prefilter ? Vote(list, sums, check, vote_policy, &cstats)
-                         : Vote(list, check, vote_policy);
+        vote = Vote(list, check, vote_policy, &cstats);
       }
       const int64_t verify_cpu = util::ThreadCpuMicros() - cpu0;
       return [this, s, b, k, st, vote, cstats, verify_cpu,
               vmap = std::move(vmap),
               auto_dissent = std::move(auto_dissent),
-              list = std::move(list), sums = std::move(sums), &rstats,
+              list = std::move(list), &rstats,
               &run_error, &on_chosen, &note_verify_job, &note_checkpoint,
               &dump_evidence, &begin_decision_event,
               &lifecycle_dissent]() mutable {
@@ -1621,7 +1626,6 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
           return;
         }
         st->chosen[s] = std::move(list[static_cast<size_t>(vote.winner)]);
-        st->chosen_summary[s] = sums[static_cast<size_t>(vote.winner)];
         for (int d : dissent_idx) {
           lifecycle_dissent(s, static_cast<size_t>(d), b);
         }
@@ -1646,7 +1650,6 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
     // in-snapshot flags let the applier treat later arrivals as
     // stragglers.
     std::vector<const std::vector<Tensor>*> outs;
-    std::vector<OutputsSummary> sums;
     std::vector<char> in_snapshot(k, 0);
     size_t settled_count = 0;
     size_t voting_count = 0;  // batch-frozen panel size (mask == 1)
@@ -1659,17 +1662,13 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
       ++settled_count;
       if (!r->ok) continue;
       outs.push_back(&r->outputs);
-      sums.push_back(i < state.summaries[s].size() ? state.summaries[s][i]
-                                                   : OutputsSummary{});
     }
-    const bool prefilter = config_.digest_prefilter;
     const CheckPolicy check = config_.check;
     obs::Histogram* verify_hist = stages_[s].metrics.verify_us;
     ++state.jobs_inflight;  // released by the applier (monitor thread)
     pool.Submit([this, s, b, k, st, base, tid = trace_ids[b],
-                 outs = std::move(outs),
-                 sums = std::move(sums), in_snapshot = std::move(in_snapshot),
-                 settled_count, voting_count, supervised, prefilter, check,
+                 outs = std::move(outs), in_snapshot = std::move(in_snapshot),
+                 settled_count, voting_count, supervised, check,
                  verify_hist, &rstats,
                  &run_error, &on_chosen, &note_verify_job, &note_checkpoint,
                  &dump_evidence,
@@ -1678,8 +1677,7 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
                  &schedule_full_vote]() -> VerifyPool::Apply {
       const int64_t cpu0 = util::ThreadCpuMicros();
       CheckStats cstats;
-      size_t best_pos = outs.size(), best_size = 0;
-      std::vector<char> best_bloc;
+      Bloc best;
       {
         obs::TraceContextScope tscope(tid, 0);
         obs::ScopedSpan span("monitor/verify",
@@ -1687,31 +1685,12 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
                               .batch = static_cast<int64_t>(base + b),
                               .tag = "quorum"},
                              &obs::TraceBuffer::Default(), verify_hist);
-        for (size_t rp = 0; rp < outs.size(); ++rp) {
-          size_t size = 0;
-          std::vector<char> bloc(outs.size(), 0);
-          for (size_t o = 0; o < outs.size(); ++o) {
-            const bool consistent =
-                prefilter ? OutputsConsistent(*outs[o], sums[o], *outs[rp],
-                                              sums[rp], check, &cstats)
-                          : OutputsConsistent(*outs[o], *outs[rp], check);
-            if (consistent) {
-              bloc[o] = 1;
-              ++size;
-            }
-          }
-          if (size > best_size) {
-            best_size = size;
-            best_pos = rp;
-            best_bloc = std::move(bloc);
-          }
-        }
+        best = LargestBloc(outs, check, &cstats);
       }
       const int64_t verify_cpu = util::ThreadCpuMicros() - cpu0;
-      return [this, s, b, k, st, outs, sums, in_snapshot, settled_count,
-              voting_count, supervised, cstats, verify_cpu, best_pos,
-              best_size,
-              best_bloc = std::move(best_bloc), &rstats, &run_error,
+      return [this, s, b, k, st, outs, in_snapshot, settled_count,
+              voting_count, supervised, cstats, verify_cpu,
+              best = std::move(best), &rstats, &run_error,
               &on_chosen, &note_verify_job, &note_checkpoint,
               &dump_evidence, &begin_decision_event,
               &dissents_from_chosen, &schedule_quorum, &lifecycle_dissent,
@@ -1730,11 +1709,10 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
           if (supervised && st->masks[s][i] != 1) continue;
           if (st->reports[s][i].has_value()) ++received_now;
         }
-        if (best_size >= quorum) {
+        if (best.size >= quorum) {
           st->voted.insert(s);
           begin_decision_event(*st, s, verify_cpu);
-          st->chosen[s] = *outs[best_pos];
-          st->chosen_summary[s] = sums[best_pos];
+          st->chosen[s] = *outs[best.representative];
           size_t dissent_now = settled_count - outs.size();
           // Dissenting panel indices for the evidence trail: settled
           // slots outside the winning bloc (failed slots always
@@ -1748,7 +1726,7 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
               if (!r.has_value() || !r->ok) {
                 dissent_idx.push_back(static_cast<int>(i));
               } else {
-                if (o < best_bloc.size() && !best_bloc[o]) {
+                if (o < best.members.size() && !best.members[o]) {
                   dissent_idx.push_back(static_cast<int>(i));
                 }
                 ++o;
@@ -1756,7 +1734,7 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
             }
           }
           for (size_t o = 0; o < outs.size(); ++o) {
-            if (!best_bloc[o]) ++dissent_now;
+            if (!best.members[o]) ++dissent_now;
           }
           rstats.checkpoints_evaluated++;
           rstats.divergences += dissent_now;
@@ -1783,10 +1761,7 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
             if (supervised && st->masks[s][i] != 1) continue;
             const auto& r = st->reports[s][i];
             if (!r.has_value() || in_snapshot[i]) continue;
-            const OutputsSummary rsum =
-                i < st->summaries[s].size() ? st->summaries[s][i]
-                                            : OutputsSummary{};
-            if (dissents_from_chosen(*st, s, *r, rsum)) {
+            if (dissents_from_chosen(*st, s, *r)) {
               rstats.late_divergences++;
               m_.divergences_total->Add(1);
               note_checkpoint(s, b, "late-divergence", st->v_chosen[s],
@@ -1882,33 +1857,17 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
       // against the committed verdict (immediately when this stage has
       // already decided, else when on_chosen drains pending shadows).
       auto& sh = state.shadow[s];
-      auto& shs = state.shadow_sums[s];
-      if (sh.empty()) {
-        sh.resize(k);
-        shs.resize(k);
-      }
+      if (sh.empty()) sh.resize(k);
       if (sh[vi].has_value()) return;
-      if (config_.digest_prefilter && msg.ok) {
-        shs[vi] = SummarizeOutputs(msg.outputs);
-      }
       sh[vi] = std::move(msg);
       if (state.voted.count(s)) judge_shadow_slot(s, b, vi);
       return;
     }
     auto& panel = state.reports[s];
-    auto& sums = state.summaries[s];
-    if (panel.empty()) {
-      panel.resize(k);
-      sums.resize(k);
-    }
+    if (panel.empty()) panel.resize(k);
     if (panel[vi].has_value()) {
       return;  // duplicate frame: slots settle exactly once (workers
                // hold pointers into settled slots)
-    }
-    if (config_.digest_prefilter && msg.ok) {
-      // One hashing pass per report; equal digests short-circuit the
-      // pairwise element-wise checks downstream.
-      sums[vi] = SummarizeOutputs(msg.outputs);
     }
     panel[vi] = std::move(msg);
     if (supervised && !panel[vi]->ok) {
@@ -1923,7 +1882,7 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
 
     if (state.voted.count(s)) {
       // Async straggler: cross-validate against the accepted value.
-      if (dissents_from_chosen(state, s, *panel[vi], sums[vi])) {
+      if (dissents_from_chosen(state, s, *panel[vi])) {
         rstats.late_divergences++;
         m_.divergences_total->Add(1);
         note_checkpoint(s, b, "late-divergence",

@@ -70,10 +70,6 @@ struct MonitorConfig {
   // consistency). 0 runs verification inline on the ingestion thread
   // (deterministic; the pre-evented behavior).
   int verify_threads = 2;
-  // Hash each reported output list once on ingestion and short-circuit
-  // pairwise element-wise checks when digests match (byte-identical
-  // replicas) — the all-agree case becomes O(k) hashes, not O(k²) scans.
-  bool digest_prefilter = true;
   // Fault-injection seam: called once per event-loop iteration, right
   // after the monitor.loop_heartbeat increment. A test hook that blocks
   // here simulates a wedged event loop (the stall the watchdog exists
@@ -154,7 +150,7 @@ struct RunStats {
 // is the monitor's only execution path.
 
 // One inference request: a single model-input batch plus scheduling
-// metadata (tenant / priority / model routing) and an optional
+// metadata (tenant / priority) and an optional
 // relative wall-clock budget.
 struct InferenceRequest {
   std::vector<tensor::Tensor> inputs;
@@ -173,9 +169,6 @@ struct InferenceRequest {
   std::string tenant = {};
   // Higher dispatches earlier among equal-deadline work.
   int32_t priority = 0;
-  // Model-zoo routing key for multi-model front ends
-  // (service::Scheduler); ignored by a single-model Monitor.
-  std::string model = {};
 };
 
 struct InferenceResponse {
@@ -503,8 +496,8 @@ class Monitor {
     // (spawn + attest + handshake + identity + manifest evidence).
     obs::Histogram* rebootstrap_us = nullptr;
     // Evented-loop instruments: time spent blocked waiting for events
-    // vs. cross-validation work, verify-pool backlog, and digest
-    // prefilter effectiveness.
+    // vs. cross-validation work, verify-pool backlog, and pair checks
+    // decided without the metric scan vs. with it (CheckStats).
     obs::Histogram* wait_us = nullptr;
     obs::Histogram* verify_job_us = nullptr;
     obs::Gauge* verify_queue_depth = nullptr;

@@ -69,11 +69,7 @@ JsonValue EvidenceToJson(const CheckpointEvidence& ev) {
     JsonValue::Object vf;
     vf.emplace_back("variant_id", v.variant_id);
     vf.emplace_back("ok", v.ok);
-    // Digests as hex strings: 64-bit values do not survive doubles.
-    char hex[19];
-    std::snprintf(hex, sizeof(hex), "%016llx",
-                  static_cast<unsigned long long>(v.digest));
-    vf.emplace_back("digest", std::string(hex));
+    vf.emplace_back("digest", v.digest);
     vf.emplace_back("nonfinite", v.nonfinite);
     vf.emplace_back("vtime_us", v.vtime_us);
     vf.emplace_back("dissent", v.dissent);

@@ -26,8 +26,12 @@ namespace mvtee::obs {
 struct VariantEvidence {
   std::string variant_id;
   bool ok = false;         // did the variant report a healthy result
-  uint64_t digest = 0;     // FNV-1a over the reported outputs (0 = none)
-  bool nonfinite = false;  // outputs contained NaN/Inf
+  // Hex SHA-256 over the reported outputs' shapes and payloads, and
+  // whether they held a NaN or an infinity. Filled for every verdict
+  // but "accepted" (whose members all matched the forwarded value);
+  // "" for an accepted verdict or a failed or missing report.
+  std::string digest;
+  bool nonfinite = false;
   uint64_t vtime_us = 0;   // virtual arrival time of the report
   bool dissent = false;    // voted against the accepted value
 };

@@ -142,7 +142,6 @@ void InferenceService::ServeSession(transport::Endpoint endpoint) {
     request.deadline_us = msg->deadline_us;
     request.tenant = std::move(msg->tenant);
     request.priority = msg->priority;
-    request.model = std::move(msg->model);
     auto submitted = (*session)->SubmitSequenced(std::move(request), msg->seq);
     if (!submitted.ok()) {
       reply.code = static_cast<uint8_t>(submitted.status().code());
@@ -220,7 +219,6 @@ util::Result<std::vector<tensor::Tensor>> InferenceClient::Infer(
   msg.deadline_us = deadline_us;
   msg.tenant = options.tenant;
   msg.priority = options.priority;
-  msg.model = options.model;
   msg.inputs = std::move(inputs);
   MVTEE_RETURN_IF_ERROR(core::SendFrame(channel_, msg));
   next_seq_ += 1;

@@ -108,7 +108,6 @@ class InferenceClient {
     // fairness/ordering labels only, never authenticated inputs.
     std::string tenant;
     int32_t priority = 0;
-    std::string model;
   };
 
   // Submits one encrypted request and blocks for the reply.

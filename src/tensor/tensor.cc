@@ -194,9 +194,12 @@ util::Result<Tensor> Tensor::DeserializeView(
 
 double CosineSimilarity(const Tensor& a, const Tensor& b) {
   MVTEE_CHECK(a.shape() == b.shape());
+  const int64_t n = a.num_elements();
+  const float* pa = a.data();
+  const float* pb = b.data();
   double dot = 0, na = 0, nb = 0;
-  for (int64_t i = 0; i < a.num_elements(); ++i) {
-    double x = a.at(i), y = b.at(i);
+  for (int64_t i = 0; i < n; ++i) {
+    double x = pa[i], y = pb[i];
     dot += x * y;
     na += x * x;
     nb += y * y;
@@ -208,20 +211,26 @@ double CosineSimilarity(const Tensor& a, const Tensor& b) {
 
 double MeanSquaredError(const Tensor& a, const Tensor& b) {
   MVTEE_CHECK(a.shape() == b.shape());
-  if (a.num_elements() == 0) return 0.0;
+  const int64_t n = a.num_elements();
+  if (n == 0) return 0.0;
+  const float* pa = a.data();
+  const float* pb = b.data();
   double sum = 0;
-  for (int64_t i = 0; i < a.num_elements(); ++i) {
-    double d = static_cast<double>(a.at(i)) - b.at(i);
+  for (int64_t i = 0; i < n; ++i) {
+    double d = static_cast<double>(pa[i]) - pb[i];
     sum += d * d;
   }
-  return sum / static_cast<double>(a.num_elements());
+  return sum / static_cast<double>(n);
 }
 
 double MaxAbsDiff(const Tensor& a, const Tensor& b) {
   MVTEE_CHECK(a.shape() == b.shape());
+  const int64_t n = a.num_elements();
+  const float* pa = a.data();
+  const float* pb = b.data();
   double max_diff = 0;
-  for (int64_t i = 0; i < a.num_elements(); ++i) {
-    double d = std::fabs(static_cast<double>(a.at(i)) - b.at(i));
+  for (int64_t i = 0; i < n; ++i) {
+    double d = std::fabs(static_cast<double>(pa[i]) - pb[i]);
     if (d > max_diff) max_diff = d;
   }
   return max_diff;
@@ -229,8 +238,11 @@ double MaxAbsDiff(const Tensor& a, const Tensor& b) {
 
 bool AllClose(const Tensor& a, const Tensor& b, double rtol, double atol) {
   if (a.shape() != b.shape()) return false;
-  for (int64_t i = 0; i < a.num_elements(); ++i) {
-    double x = a.at(i), y = b.at(i);
+  const int64_t n = a.num_elements();
+  const float* pa = a.data();
+  const float* pb = b.data();
+  for (int64_t i = 0; i < n; ++i) {
+    double x = pa[i], y = pb[i];
     if (std::isnan(x) || std::isnan(y)) return false;
     if (std::fabs(x - y) > atol + rtol * std::fabs(y)) return false;
   }
@@ -238,8 +250,10 @@ bool AllClose(const Tensor& a, const Tensor& b, double rtol, double atol) {
 }
 
 bool HasNonFinite(const Tensor& t) {
-  for (int64_t i = 0; i < t.num_elements(); ++i) {
-    if (!std::isfinite(t.at(i))) return true;
+  const int64_t n = t.num_elements();
+  const float* p = t.data();
+  for (int64_t i = 0; i < n; ++i) {
+    if (!std::isfinite(p[i])) return true;
   }
   return false;
 }

@@ -70,6 +70,57 @@ TEST(ConsistencyTest, NonFiniteAlwaysFails) {
   EXPECT_FALSE(OutputsConsistent({Vec({INFINITY})}, {Vec({INFINITY})}, p));
 }
 
+TEST(ConsistencyTest, EqualBytesUpToLastElementStillRunTheMetric) {
+  // The forgery the exact compare exists for: a payload that matches
+  // the honest one everywhere but its last element. No summary can
+  // stand in for the bytes, so the metric decides and rejects.
+  std::vector<float> honest(256);
+  for (size_t i = 0; i < honest.size(); ++i) {
+    honest[i] = 0.01f * static_cast<float>(i + 1);
+  }
+  std::vector<float> forged = honest;
+  forged.back() = -1000.0f;
+  CheckStats stats;
+  EXPECT_FALSE(OutputsConsistent({Vec(honest)}, {Vec(forged)},
+                                 CheckPolicy::Cosine(0.999), &stats));
+  EXPECT_EQ(stats.full_checks, 1u);
+  EXPECT_EQ(stats.prefilter_hits, 0u);
+  auto v = Vote({{Vec(forged)}, {Vec(honest)}, {Vec(honest)}},
+                CheckPolicy::Cosine(0.999), VotePolicy::kMajority);
+  EXPECT_TRUE(v.accepted);
+  EXPECT_EQ(v.winner, 1);
+  EXPECT_EQ(v.dissenters, std::vector<int>{0});
+}
+
+TEST(ConsistencyTest, ByteIdenticalNanListsReject) {
+  const std::vector<Tensor> nan_list = {Vec({1, std::nanf(""), 3})};
+  CheckStats stats;
+  EXPECT_FALSE(OutputsConsistent(nan_list, nan_list,
+                                 CheckPolicy::Cosine(0.0), &stats));
+  EXPECT_EQ(stats.prefilter_hits, 1u);
+  EXPECT_EQ(stats.full_checks, 0u);
+  auto v = Vote({nan_list, nan_list, nan_list}, CheckPolicy::Cosine(0.0),
+                VotePolicy::kMajority);
+  EXPECT_FALSE(v.accepted);
+  EXPECT_EQ(v.winner, -1);
+}
+
+TEST(ConsistencyTest, SignedZerosAgreeThroughTheMetric) {
+  // -0.0f and +0.0f differ in bytes but not in value.
+  CheckStats stats;
+  EXPECT_TRUE(OutputsConsistent({Vec({1, -0.0f, 2})}, {Vec({1, 0.0f, 2})},
+                                CheckPolicy::Cosine(0.999), &stats));
+  EXPECT_EQ(stats.full_checks, 1u);
+  EXPECT_EQ(stats.prefilter_hits, 0u);
+}
+
+TEST(ConsistencyTest, EqualPayloadUnderTransposedShapeRejects) {
+  const std::vector<float> payload = {1, 2, 3, 4, 5, 6};
+  const Tensor a(Shape({2, 3}), payload);
+  const Tensor b(Shape({3, 2}), payload);
+  EXPECT_FALSE(OutputsConsistent({a}, {b}, CheckPolicy::Cosine(0.0)));
+}
+
 TEST(VoteTest, UnanimousAllAgree) {
   std::vector<std::vector<Tensor>> outs = {
       {Vec({1, 2, 3})}, {Vec({1.0001f, 2, 3})}, {Vec({1, 2, 3.0001f})}};

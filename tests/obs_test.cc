@@ -588,8 +588,8 @@ CheckpointEvidence MakeEvidence(uint64_t trace_id, uint64_t batch,
   ev.stage = 0;
   ev.verdict = verdict;
   ev.v_decide_us = 1000 + static_cast<int64_t>(batch);
-  VariantEvidence a{"s0.v1", true, 0xdeadbeefULL, false, 900, false};
-  VariantEvidence b{"s0.v2", true, 0xfeedfaceULL, false, 950, true};
+  VariantEvidence a{"s0.v1", true, std::string(64, 'a'), false, 900, false};
+  VariantEvidence b{"s0.v2", true, std::string(64, 'b'), false, 950, true};
   ev.variants = {a, b};
   return ev;
 }
@@ -668,7 +668,8 @@ TEST(FlightRecorderTest, DumpBundleWritesSelfContainedJson) {
   EXPECT_EQ(bad.Find("verdict")->as_string(), "divergence");
   const JsonValue::Array& variants = bad.Find("variants")->as_array();
   ASSERT_EQ(variants.size(), 2u);
-  EXPECT_EQ(variants[0].Find("digest")->as_string(), "00000000deadbeef");
+  EXPECT_EQ(variants[0].Find("digest")->as_string(), std::string(64, 'a'));
+  EXPECT_EQ(variants[1].Find("digest")->as_string(), std::string(64, 'b'));
   EXPECT_FALSE(variants[0].Find("dissent")->as_bool());
   EXPECT_TRUE(variants[1].Find("dissent")->as_bool());
 

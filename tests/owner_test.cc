@@ -183,6 +183,9 @@ TEST_F(OwnerProtocolTest, ProvisionFailureIsReported) {
   auto status = owner.ProvisionDeployment(
       std::move(endpoint), cpu_, monitor_->enclave().measurement(), bad);
   EXPECT_FALSE(status.ok());
+  // Close the owner's end first, so the service sees the hang-up
+  // instead of waiting out its receive timeout.
+  owner.Disconnect();
   JoinService();
 }
 

@@ -354,89 +354,185 @@ TEST(VoteProperty, AllFailedPanelRejects) {
   }
 }
 
-TEST(VoteProperty, SummaryVoteMatchesPlainVote) {
-  // Random panels mixing identical replicas, close diversified outputs,
-  // divergent outputs and crashed variants: the digest-accelerated vote
-  // must reach exactly the plain vote's decision.
-  util::Rng rng(11);
-  auto policy = core::CheckPolicy::Cosine(0.999);
-  for (int trial = 0; trial < 50; ++trial) {
-    const int k = 2 + trial % 4;
-    auto base = Tensor::RandomUniform(Shape({24}), rng);
-    std::vector<std::vector<Tensor>> outputs;
-    for (int i = 0; i < k; ++i) {
-      switch (rng.UniformU64(4)) {
-        case 0:
-          outputs.push_back({base});
-          break;
-        case 1: {
-          Tensor close = base;
-          for (int64_t j = 0; j < close.num_elements(); ++j) {
-            close.data()[j] += rng.UniformFloat(-1e-6f, 1e-6f);
-          }
-          outputs.push_back({std::move(close)});
-          break;
-        }
-        case 2:
-          outputs.push_back(
-              {Tensor::RandomUniform(Shape({24}), rng, 50.0f, 100.0f)});
-          break;
-        default:
-          outputs.push_back({});  // crashed
-          break;
+// Metric-only reference for the exact vote: the same greedy clustering,
+// but every pair is decided by the metric alone, with no byte-equality
+// shortcut. `pairs` counts the pair checks made.
+bool ReferenceConsistent(const std::vector<Tensor>& a,
+                         const std::vector<Tensor>& b,
+                         const core::CheckPolicy& policy, uint64_t& pairs) {
+  ++pairs;
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].shape() != b[i].shape()) return false;
+    if (tensor::HasNonFinite(a[i]) || tensor::HasNonFinite(b[i])) {
+      return false;
+    }
+    const bool ok =
+        policy.metric == core::ConsistencyMetric::kCosine
+            ? tensor::CosineSimilarity(a[i], b[i]) >= policy.threshold
+            : tensor::MaxAbsDiff(a[i], b[i]) <= policy.threshold;
+    if (!ok) return false;
+  }
+  return true;
+}
+
+core::VoteResult ReferenceVote(
+    const std::vector<std::vector<Tensor>>& outputs,
+    const core::CheckPolicy& policy, core::VotePolicy vote_policy,
+    uint64_t& pairs) {
+  const size_t n = outputs.size();
+  std::vector<int> bloc_of(n, -1);
+  std::vector<size_t> reps;
+  for (size_t i = 0; i < n; ++i) {
+    if (outputs[i].empty()) continue;
+    for (size_t r = 0; r < reps.size() && bloc_of[i] < 0; ++r) {
+      if (ReferenceConsistent(outputs[i], outputs[reps[r]], policy, pairs)) {
+        bloc_of[i] = static_cast<int>(r);
       }
     }
-    std::vector<core::OutputsSummary> sums;
-    sums.reserve(outputs.size());
-    for (const auto& o : outputs) sums.push_back(core::SummarizeOutputs(o));
-    for (auto vp :
-         {core::VotePolicy::kUnanimous, core::VotePolicy::kMajority}) {
-      auto plain = core::Vote(outputs, policy, vp);
+    if (bloc_of[i] < 0) {
+      bloc_of[i] = static_cast<int>(reps.size());
+      reps.push_back(i);
+    }
+  }
+  std::vector<size_t> size(reps.size(), 0);
+  for (int b : bloc_of) {
+    if (b >= 0) ++size[static_cast<size_t>(b)];
+  }
+  int best = -1;
+  size_t best_size = 0;
+  for (size_t r = 0; r < size.size(); ++r) {
+    if (size[r] > best_size) {
+      best_size = size[r];
+      best = static_cast<int>(r);
+    }
+  }
+  core::VoteResult result;
+  result.accepted = vote_policy == core::VotePolicy::kUnanimous
+                        ? best_size == n && reps.size() == 1
+                        : best_size * 2 > n;
+  result.winner =
+      result.accepted ? static_cast<int>(reps[static_cast<size_t>(best)]) : -1;
+  for (size_t i = 0; i < n; ++i) {
+    if (bloc_of[i] != best) result.dissenters.push_back(static_cast<int>(i));
+  }
+  return result;
+}
+
+TEST(VoteProperty, ExactVoteMatchesMetricOnlyVote) {
+  // Random panels mixing identical replicas, near diversified outputs,
+  // far outputs, NaN-poisoned outputs and crashed variants: the vote
+  // with the exact byte shortcut must reach the metric-only decision,
+  // and so must the async quorum's largest-bloc scan. Every pair check
+  // is counted exactly once.
+  util::Rng rng(11);
+  for (auto policy :
+       {core::CheckPolicy::Cosine(0.999), core::CheckPolicy::MaxAbs(1e-5)}) {
+    for (int trial = 0; trial < 60; ++trial) {
+      const size_t k = 2 + static_cast<size_t>(trial % 4);
+      auto base = Tensor::RandomUniform(Shape({24}), rng);
+      std::vector<std::vector<Tensor>> outputs;
+      for (size_t i = 0; i < k; ++i) {
+        Tensor t = base;
+        switch (rng.UniformU64(5)) {
+          case 0:  // identical replica
+            break;
+          case 1:  // near: diversified rounding noise
+            for (int64_t j = 0; j < t.num_elements(); ++j) {
+              t.data()[j] += rng.UniformFloat(-1e-6f, 1e-6f);
+            }
+            break;
+          case 2:  // far
+            t = Tensor::RandomUniform(Shape({24}), rng, 50.0f, 100.0f);
+            break;
+          case 3:  // NaN-poisoned
+            t.data()[rng.UniformU64(24)] =
+                std::numeric_limits<float>::quiet_NaN();
+            break;
+          default:  // crashed
+            outputs.push_back({});
+            continue;
+        }
+        outputs.push_back({std::move(t)});
+      }
+      for (auto vp :
+           {core::VotePolicy::kUnanimous, core::VotePolicy::kMajority}) {
+        uint64_t pairs = 0;
+        auto expected = ReferenceVote(outputs, policy, vp, pairs);
+        core::CheckStats stats;
+        auto got = core::Vote(outputs, policy, vp, &stats);
+        EXPECT_EQ(got.accepted, expected.accepted) << "trial " << trial;
+        EXPECT_EQ(got.winner, expected.winner) << "trial " << trial;
+        EXPECT_EQ(got.dissenters, expected.dissenters) << "trial " << trial;
+        EXPECT_EQ(stats.prefilter_hits + stats.full_checks, pairs)
+            << "trial " << trial;
+      }
+
+      std::vector<const std::vector<Tensor>*> healthy;
+      for (const auto& o : outputs) {
+        if (!o.empty()) healthy.push_back(&o);
+      }
+      uint64_t pairs = 0;
+      size_t best_rep = 0, best_size = 0;
+      std::vector<char> best_members;
+      for (size_t r = 0; r < healthy.size(); ++r) {
+        std::vector<char> members(healthy.size(), 0);
+        size_t size = 0;
+        for (size_t o = 0; o < healthy.size(); ++o) {
+          if (ReferenceConsistent(*healthy[o], *healthy[r], policy, pairs)) {
+            members[o] = 1;
+            ++size;
+          }
+        }
+        if (size > best_size) {
+          best_rep = r;
+          best_size = size;
+          best_members = std::move(members);
+        }
+      }
       core::CheckStats stats;
-      auto fast = core::Vote(outputs, sums, policy, vp, &stats);
-      EXPECT_EQ(plain.accepted, fast.accepted) << "trial " << trial;
-      EXPECT_EQ(plain.winner, fast.winner) << "trial " << trial;
-      EXPECT_EQ(plain.dissenters, fast.dissenters) << "trial " << trial;
+      const core::Bloc bloc = core::LargestBloc(healthy, policy, &stats);
+      EXPECT_EQ(bloc.size, best_size) << "trial " << trial;
+      EXPECT_EQ(bloc.members, best_members) << "trial " << trial;
+      if (best_size > 0) {
+        EXPECT_EQ(bloc.representative, best_rep) << "trial " << trial;
+      }
+      EXPECT_EQ(stats.prefilter_hits + stats.full_checks, pairs);
     }
   }
 }
 
 TEST(VoteProperty, PrefilterAbsorbsIdenticalPanels) {
-  // A fully replicated panel must be decided by digests alone: O(k)
-  // hashes, zero element-wise scans.
+  // A fully replicated panel is decided by exact byte comparison alone:
+  // zero metric scans.
   util::Rng rng(12);
   auto t = Tensor::RandomUniform(Shape({64}), rng);
   std::vector<std::vector<Tensor>> outputs(4, std::vector<Tensor>{t});
-  std::vector<core::OutputsSummary> sums;
-  for (const auto& o : outputs) sums.push_back(core::SummarizeOutputs(o));
   core::CheckStats stats;
-  auto r = core::Vote(outputs, sums, core::CheckPolicy::Cosine(0.999),
+  auto r = core::Vote(outputs, core::CheckPolicy::Cosine(0.999),
                       core::VotePolicy::kUnanimous, &stats);
   EXPECT_TRUE(r.accepted);
   EXPECT_EQ(r.winner, 0);
   EXPECT_EQ(stats.full_checks, 0u);
-  EXPECT_EQ(stats.prefilter_hits, 3u);  // each follower joins rep 0 by digest
+  EXPECT_EQ(stats.prefilter_hits, 3u);  // each follower joins rep 0 by bytes
 }
 
-TEST(VoteProperty, NonFiniteVariantDissentsUnderSummary) {
+TEST(VoteProperty, NonFiniteVariantDissents) {
   util::Rng rng(13);
   auto t = Tensor::RandomUniform(Shape({16}), rng);
   Tensor bad = t;
   bad.data()[0] = std::numeric_limits<float>::quiet_NaN();
   std::vector<std::vector<Tensor>> outputs = {{t}, {t}, {bad}};
-  std::vector<core::OutputsSummary> sums;
-  for (const auto& o : outputs) sums.push_back(core::SummarizeOutputs(o));
-  EXPECT_TRUE(sums[2].nonfinite);
   for (auto vp :
        {core::VotePolicy::kUnanimous, core::VotePolicy::kMajority}) {
-    auto plain = core::Vote(outputs, core::CheckPolicy::Cosine(0.999), vp);
     core::CheckStats stats;
-    auto fast = core::Vote(outputs, sums, core::CheckPolicy::Cosine(0.999),
-                           vp, &stats);
-    EXPECT_EQ(plain.accepted, fast.accepted);
-    EXPECT_EQ(plain.dissenters, fast.dissenters);
-    ASSERT_EQ(fast.dissenters.size(), 1u);
-    EXPECT_EQ(fast.dissenters[0], 2);
+    auto r = core::Vote(outputs, core::CheckPolicy::Cosine(0.999), vp,
+                        &stats);
+    EXPECT_EQ(r.accepted, vp == core::VotePolicy::kMajority);
+    ASSERT_EQ(r.dissenters.size(), 1u);
+    EXPECT_EQ(r.dissenters[0], 2);
+    // The NaN list is rejected on its flag, never scanned by the metric.
+    EXPECT_EQ(stats.full_checks, 0u);
   }
 }
 

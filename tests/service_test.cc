@@ -29,7 +29,6 @@
 #include "obs/watchdog.h"
 #include "service/admin.h"
 #include "service/inference_service.h"
-#include "service/scheduler.h"
 #include "tensor/tensor.h"
 #include "transport/channel.h"
 #include "transport/secure_channel.h"
@@ -723,74 +722,6 @@ TEST_F(ServiceTest, CoalescedWireSessionsNeverMixKeysOrPayloads) {
   (*service)->Stop();
 }
 
-// ------------------------------- multi-model zoo (service::Scheduler)
-
-TEST_F(ServiceTest, SchedulerRoutesModelsAndRejectsUnknown) {
-  // Second model with different weights, its own monitor and host.
-  auto bundle2 = RunOfflineTool(TestModel(/*seed=*/6), SmallOffline());
-  ASSERT_TRUE(bundle2.ok()) << bundle2.status().ToString();
-  VariantHost host2(&cpu_, bundle2->store);
-  auto monitor2 = Monitor::Create(&cpu_, MonitorConfig{});
-  ASSERT_TRUE(monitor2.ok());
-  ASSERT_TRUE((*monitor2)
-                  ->Initialize(*bundle2, MvxSelection::Uniform(*bundle2, 2),
-                               host2)
-                  .ok());
-
-  const Tensor input = TestInput();
-  auto ref_alpha = Serve(*monitor_, {{input}});
-  auto ref_beta = Serve(**monitor2, {{input}});
-  ASSERT_TRUE(ref_alpha.ok() && ref_beta.ok());
-  // Different weight seeds: routing errors are observable.
-  ASSERT_GT(MaxAbsDiff((*ref_alpha)[0][0], (*ref_beta)[0][0]), 1e-6f);
-
-  auto scheduler = Scheduler::Start(
-      {{"alpha", monitor_.get()}, {"beta", monitor2->get()}},
-      core::ServiceConfig{});
-  ASSERT_TRUE(scheduler.ok()) << scheduler.status().ToString();
-  EXPECT_EQ((*scheduler)->Route(""), monitor_.get());
-  EXPECT_EQ((*scheduler)->Route("beta"), monitor2->get());
-  EXPECT_EQ((*scheduler)->Route("nope"), nullptr);
-
-  auto session = (*scheduler)->OpenSession();
-  ASSERT_TRUE(session.ok()) << session.status().ToString();
-
-  // Submit to both models concurrently — each monitor's loop runs
-  // independently, and replies come from the routed model's pipeline.
-  InferenceRequest to_beta;
-  to_beta.inputs = {input};
-  to_beta.model = "beta";
-  auto beta_future = (*session)->Submit(std::move(to_beta));
-  ASSERT_TRUE(beta_future.ok()) << beta_future.status().ToString();
-  InferenceRequest to_default;
-  to_default.inputs = {input};  // empty model -> first registered entry
-  auto default_future = (*session)->Submit(std::move(to_default));
-  ASSERT_TRUE(default_future.ok()) << default_future.status().ToString();
-
-  InferenceResponse beta_response = beta_future->get();
-  ASSERT_TRUE(beta_response.status.ok()) << beta_response.status.ToString();
-  EXPECT_LT(MaxAbsDiff(beta_response.outputs[0], (*ref_beta)[0][0]), 1e-6f);
-  InferenceResponse default_response = default_future->get();
-  ASSERT_TRUE(default_response.status.ok());
-  EXPECT_LT(MaxAbsDiff(default_response.outputs[0], (*ref_alpha)[0][0]),
-            1e-6f);
-  // Per-(session, model) sequence spaces: both submits were each
-  // model-session's first, so both replies carry seq 0.
-  EXPECT_EQ(beta_response.seq, 0u);
-  EXPECT_EQ(default_response.seq, 0u);
-
-  InferenceRequest unknown;
-  unknown.inputs = {input};
-  unknown.model = "nope";
-  auto bad = (*session)->Submit(std::move(unknown));
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
-
-  (*session)->Close();
-  ASSERT_TRUE((*monitor2)->Shutdown().ok());
-  host2.JoinAll();
-}
-
 // ------------------------------------------------- wire-format basics
 
 TEST(SessionMessagesTest, SubmitRoundTrip) {
@@ -820,7 +751,6 @@ TEST(SessionMessagesTest, SubmitRoundTripCarriesSchedulingHints) {
   msg.deadline_us = -250;
   msg.priority = 3;
   msg.tenant = "tenant-a";
-  msg.model = "resnet18";
   msg.inputs = {TestInput()};
   util::Bytes frame = core::EncodeSessionSubmit(msg);
   EXPECT_EQ(frame.size(), core::EncodedSize(msg));
@@ -830,7 +760,6 @@ TEST(SessionMessagesTest, SubmitRoundTripCarriesSchedulingHints) {
   EXPECT_EQ(decoded->deadline_us, -250);
   EXPECT_EQ(decoded->priority, 3);
   EXPECT_EQ(decoded->tenant, "tenant-a");
-  EXPECT_EQ(decoded->model, "resnet18");
   ASSERT_EQ(decoded->inputs.size(), 1u);
 }
 

@@ -8,6 +8,7 @@
 #include "core/variant_host.h"
 #include "fault/injectors.h"
 #include "graph/model_zoo.h"
+#include "obs/flight_recorder.h"
 #include "obs/json.h"
 #include "runtime/executor.h"
 #include "serve_helpers.h"
@@ -19,8 +20,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cctype>
 #include <condition_variable>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
@@ -325,7 +328,7 @@ TEST_F(VirtualTimeTest, VerifyFastPathCatchesNonFinitePoisoning) {
 
 TEST_F(VirtualTimeTest, EventedMonitorExposesWaitAndPrefilterMetrics) {
   // Replicated 3-variant panels produce byte-identical outputs, so the
-  // digest prefilter must absorb every pairwise check; the evented loop
+  // exact byte compare must decide every pairwise check; the evented loop
   // must record blocking waits instead of busy-poll sleeps.
   MonitorConfig config;
   Boot(config, 3, 3);
@@ -343,12 +346,10 @@ TEST_F(VirtualTimeTest, EventedMonitorExposesWaitAndPrefilterMetrics) {
 }
 
 TEST_F(VirtualTimeTest, InlineVerifyAndPrefilterOffStillCorrect) {
-  // verify_threads = 0 degrades to deterministic inline verification
-  // and digest_prefilter = false forces full element-wise votes; both
-  // must preserve results and checkpoint accounting.
+  // verify_threads = 0 degrades to deterministic inline verification;
+  // it must preserve results and checkpoint accounting.
   MonitorConfig config;
   config.verify_threads = 0;
-  config.digest_prefilter = false;
   Boot(config, 3, 3);
   auto batches = MakeBatches(3);
   auto out = Serve(*monitor_, batches);
@@ -360,6 +361,86 @@ TEST_F(VirtualTimeTest, InlineVerifyAndPrefilterOffStillCorrect) {
     auto expected = ReferenceRun(model_, batches[b]);
     EXPECT_GT(tensor::CosineSimilarity((*out)[b][0], expected[0]), 0.999);
   }
+}
+
+TEST_F(VirtualTimeTest, CorruptSlotZeroIsOutvotedAndNeverForwarded) {
+  // The vote forwards the first member of the winning bloc. With slot 0
+  // of a replicated panel corrupted, the majority must still forward an
+  // honest member's bytes, and slot 0 must be the dissenter.
+  model_ = graph::BuildModel(graph::ModelKind::kResNet50, SmallZoo());
+  auto bundle = RunOfflineTool(model_, Offline(3, 3, /*replicated=*/true));
+  ASSERT_TRUE(bundle.ok());
+  bundle_ = std::move(*bundle);
+  const auto batches = MakeBatches(3);
+
+  // Unprotected reference: one variant per stage on a clean host.
+  std::vector<std::vector<Tensor>> reference;
+  {
+    VariantHost host(&cpu_, bundle_.store);
+    auto monitor = Monitor::Create(&cpu_, MonitorConfig{});
+    ASSERT_TRUE(monitor.ok());
+    ASSERT_TRUE((*monitor)
+                    ->Initialize(bundle_, MvxSelection::Uniform(bundle_, 1),
+                                 host)
+                    .ok());
+    auto out = Serve(**monitor, batches);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    reference = std::move(*out);
+    ASSERT_TRUE((*monitor)->Shutdown().ok());
+    host.JoinAll();
+  }
+
+  class Corrupt : public runtime::FaultHook {
+   public:
+    void OnNodeComplete(const graph::Node&, Tensor& out) override {
+      if (out.num_elements() > 0) out.data()[0] += 100.0f;
+    }
+  };
+  host_ = std::make_unique<VariantHost>(&cpu_, bundle_.store);
+  host_->SetFaultHook("s0.v0", std::make_shared<Corrupt>());
+  MonitorConfig config;
+  config.vote = VotePolicy::kMajority;
+  config.reaction = ReactionPolicy::ContinueWithWinner();
+  auto monitor = Monitor::Create(&cpu_, config);
+  ASSERT_TRUE(monitor.ok());
+  monitor_ = std::move(*monitor);
+  ASSERT_TRUE(monitor_
+                  ->Initialize(bundle_, MvxSelection::Uniform(bundle_, 3),
+                               *host_)
+                  .ok());
+  obs::FlightRecorder& recorder = obs::FlightRecorder::Default();
+  recorder.Clear();
+  auto out = Serve(*monitor_, batches);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  monitor_->StopService();
+
+  ASSERT_EQ(out->size(), reference.size());
+  for (size_t b = 0; b < reference.size(); ++b) {
+    ASSERT_EQ((*out)[b].size(), reference[b].size());
+    for (size_t t = 0; t < reference[b].size(); ++t) {
+      const Tensor& got = (*out)[b][t];
+      const Tensor& want = reference[b][t];
+      ASSERT_EQ(got.shape(), want.shape());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), want.byte_size()), 0)
+          << "batch " << b << " tensor " << t;
+    }
+  }
+  EXPECT_EQ(monitor_->ConsumeStats().divergences, batches.size());
+  size_t stage0_divergences = 0;
+  for (const obs::CheckpointEvidence& ev : recorder.Snapshot()) {
+    if (ev.stage != 0) {
+      EXPECT_EQ(ev.verdict, "accepted");
+      continue;
+    }
+    EXPECT_EQ(ev.verdict, "divergence");
+    ++stage0_divergences;
+    ASSERT_EQ(ev.variants.size(), 3u);
+    EXPECT_TRUE(ev.variants[0].dissent);
+    EXPECT_FALSE(ev.variants[1].dissent);
+    EXPECT_FALSE(ev.variants[2].dissent);
+  }
+  EXPECT_EQ(stage0_divergences, batches.size());
+  recorder.Clear();  // later tests read the process-wide ring
 }
 
 TEST_F(VirtualTimeTest, SequentialPacingKeepsVirtualTimeSane) {
@@ -480,15 +561,35 @@ TEST_F(VirtualTimeTest, DivergenceWritesEvidenceBundleWithLinkedTrace) {
   // corrupted variant marked as the dissenter.
   const obs::JsonValue* verdicts = doc->Find("verdicts");
   ASSERT_NE(verdicts, nullptr);
+  // Each member's digest is a SHA-256 over its reported outputs: the
+  // two honest replicas agree, the dissenter's differs.
+  auto is_sha256_hex = [](const std::string& digest) {
+    return digest.size() == 64 &&
+           std::all_of(digest.begin(), digest.end(), [](char c) {
+             return std::isxdigit(static_cast<unsigned char>(c)) != 0;
+           });
+  };
   bool saw_divergence = false;
   for (const auto& v : verdicts->as_array()) {
     if (v.Find("verdict")->as_string() != "divergence") continue;
     saw_divergence = true;
+    std::vector<std::string> honest;
+    std::string dissenter;
     for (const auto& variant : v.Find("variants")->as_array()) {
       const bool dissent = variant.Find("dissent")->as_bool();
       EXPECT_EQ(dissent,
                 variant.Find("variant_id")->as_string() == "s0.v1");
+      const std::string& digest = variant.Find("digest")->as_string();
+      EXPECT_TRUE(is_sha256_hex(digest)) << digest;
+      if (dissent) {
+        dissenter = digest;
+      } else {
+        honest.push_back(digest);
+      }
     }
+    ASSERT_EQ(honest.size(), 2u);
+    EXPECT_EQ(honest[0], honest[1]);
+    EXPECT_NE(dissenter, honest[0]);
   }
   EXPECT_TRUE(saw_divergence);
 
