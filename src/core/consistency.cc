@@ -87,7 +87,9 @@ VoteResult Vote(const std::vector<std::vector<Tensor>>& outputs,
   std::vector<int> bloc_of(n, -1);
   std::vector<size_t> representatives;
   for (size_t i = 0; i < n; ++i) {
-    if (outputs[i].empty()) continue;  // failed variant
+    // A failed variant or a non-finite output joins no bloc: it agrees
+    // with nothing, not even an identical list.
+    if (outputs[i].empty() || nonfinite[i]) continue;
     for (size_t b = 0; b < representatives.size(); ++b) {
       const size_t rep = representatives[b];
       if (Consistent(outputs[i], nonfinite[i], outputs[rep], nonfinite[rep],
@@ -115,15 +117,18 @@ VoteResult Vote(const std::vector<std::vector<Tensor>>& outputs,
     }
   }
 
+  // Only a strict majority bloc vouches for its members; without one,
+  // every member dissents (a tie names no honest side).
+  const bool majority = best_size * 2 > n;
   result.accepted = vote_policy == VotePolicy::kUnanimous
                         ? (best_size == n && representatives.size() == 1)
-                        : (best_size * 2 > n);
+                        : majority;
   result.winner =
       result.accepted
           ? static_cast<int>(representatives[static_cast<size_t>(best_bloc)])
           : -1;
   for (size_t i = 0; i < n; ++i) {
-    if (bloc_of[i] != best_bloc) {
+    if (!majority || bloc_of[i] != best_bloc) {
       result.dissenters.push_back(static_cast<int>(i));
     }
   }

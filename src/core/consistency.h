@@ -77,13 +77,16 @@ struct VoteResult {
   // Index (into the outputs vector) whose value should be replicated
   // downstream; -1 if rejected.
   int winner = -1;
-  // Variants outside the winning bloc (crashed or inconsistent).
+  // Variants outside the largest bloc when it holds a strict majority
+  // (crashed, non-finite or inconsistent); every variant when no bloc
+  // does.
   std::vector<int> dissenters;
 };
 
 // `outputs[i]` empty => variant i failed (crash / refused input); a
-// failed variant always dissents. Panels of one trivially accept. Each
-// list's non-finite flag is computed once, not once per pair.
+// failed variant and a non-finite output always dissent. A finite panel
+// of one trivially accepts. Each list's non-finite flag is computed
+// once, not once per pair.
 VoteResult Vote(const std::vector<std::vector<tensor::Tensor>>& outputs,
                 const CheckPolicy& policy, VotePolicy vote_policy,
                 CheckStats* stats = nullptr);

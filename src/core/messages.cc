@@ -188,6 +188,13 @@ util::Bytes EncodeShutdown() {
   return {static_cast<uint8_t>(MsgType::kShutdown)};
 }
 
+util::Bytes EncodeRelease(const ReleaseMsg& msg) {
+  util::Bytes out;
+  util::AppendU8(out, static_cast<uint8_t>(MsgType::kRelease));
+  util::AppendU64(out, msg.batch_id);
+  return out;
+}
+
 size_t EncodedSize(const SetupRoutesMsg& msg) {
   size_t size = 1 + 4 + 8 * msg.upstream.size() + 4 + 1;
   for (const auto& down : msg.downstream) {
@@ -503,7 +510,7 @@ util::Result<MsgType> PeekType(util::ByteSpan frame) {
   if (frame.empty()) return util::InvalidArgument("empty frame");
   uint8_t tag = frame[0];
   if (tag < static_cast<uint8_t>(MsgType::kAssignIdentity) ||
-      tag > static_cast<uint8_t>(MsgType::kSessionReply)) {
+      tag > static_cast<uint8_t>(MsgType::kRelease)) {
     return util::InvalidArgument("unknown message type " +
                                  std::to_string(tag));
   }
@@ -643,6 +650,16 @@ util::Result<RoutesAckMsg> DecodeRoutesAck(util::ByteSpan frame) {
     return util::InvalidArgument("malformed RoutesAck");
   }
   msg.ok = ok != 0;
+  return msg;
+}
+
+util::Result<ReleaseMsg> DecodeRelease(util::ByteSpan frame) {
+  util::ByteReader reader(frame);
+  MVTEE_RETURN_IF_ERROR(ConsumeTag(reader, MsgType::kRelease));
+  ReleaseMsg msg;
+  if (!reader.ReadU64(msg.batch_id) || !reader.done()) {
+    return util::InvalidArgument("malformed Release");
+  }
   return msg;
 }
 

@@ -32,6 +32,7 @@ enum class MsgType : uint8_t {
   kAttestReply,         // monitor -> user/owner: all bound TEE reports
   kSessionSubmit,       // client -> service: one inference request
   kSessionReply,        // service -> client: outputs or an error
+  kRelease,             // monitor -> variant: an abandoned batch's id
 };
 
 struct AssignIdentityMsg {
@@ -97,6 +98,13 @@ struct StageDataMsg {
   std::vector<tensor::Tensor> tensors;  // parallel to slots
 };
 
+// The monitor no longer wants this variant's report for `batch_id` or
+// any earlier batch: its sliding window abandoned them (an async
+// straggler fell behind). The variant drops their inputs unrun.
+struct ReleaseMsg {
+  uint64_t batch_id = 0;
+};
+
 util::Bytes EncodeAssignIdentity(const AssignIdentityMsg& msg);
 util::Bytes EncodeIdentityAck(const IdentityAckMsg& msg);
 util::Bytes EncodeInfer(const InferMsg& msg);
@@ -105,6 +113,7 @@ util::Bytes EncodeShutdown();
 util::Bytes EncodeSetupRoutes(const SetupRoutesMsg& msg);
 util::Bytes EncodeRoutesAck(const RoutesAckMsg& msg);
 util::Bytes EncodeStageData(const StageDataMsg& msg);
+util::Bytes EncodeRelease(const ReleaseMsg& msg);
 
 // ---- single-pass encoding (zero-copy data plane, DESIGN.md §10) ----
 //
@@ -265,5 +274,6 @@ util::Result<InferResultMsg> DecodeInferResult(util::ByteSpan frame);
 util::Result<SetupRoutesMsg> DecodeSetupRoutes(util::ByteSpan frame);
 util::Result<RoutesAckMsg> DecodeRoutesAck(util::ByteSpan frame);
 util::Result<StageDataMsg> DecodeStageData(util::ByteSpan frame);
+util::Result<ReleaseMsg> DecodeRelease(util::ByteSpan frame);
 
 }  // namespace mvtee::core

@@ -342,6 +342,7 @@ void Monitor::BindMetrics() {
   m_.verify_queue_depth_hwm =
       &metrics_->GetGauge("monitor.verify_queue_depth_hwm");
   m_.loop_heartbeat = &metrics_->GetCounter("monitor.loop_heartbeat");
+  m_.stale_reports = &metrics_->GetCounter("monitor.stale_reports_total");
   for (size_t s = 0; s < stages_.size(); ++s) {
     const std::string prefix = "monitor.stage" + std::to_string(s) + ".";
     StageMetrics& sm = stages_[s].metrics;
@@ -795,10 +796,10 @@ void Monitor::ServiceLoop() {
     m_.loop_heartbeat->Add(1);
 
     // Continuous serving stream: the scheduler forms batches and the
-    // stream admits them as slots free, until the service stops or the
-    // queue runs dry. A stream error fails only that stream's in-flight
-    // requests; the loop then starts a fresh stream for whatever is
-    // still queued.
+    // stream admits them as slots free, parking while the queue is
+    // empty, until the service stops. A stream error fails only that
+    // stream's in-flight requests; the loop then starts a fresh stream
+    // for whatever is queued next.
     (void)ServeStream(former);
   }
 }
@@ -840,10 +841,6 @@ util::Status Monitor::ServeStream(BatchFormer& former) {
 
   StreamFeed feed;
   feed.max_inflight = std::max<size_t>(1, sched.max_batch);
-  feed.quiesce = [&] {
-    std::lock_guard<std::mutex> lock(st.mu);
-    return !st.accepting || st.queue.empty();
-  };
   feed.stopping = [&] {
     std::lock_guard<std::mutex> lock(st.mu);
     return !st.accepting;
@@ -1034,12 +1031,6 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
   // are serialized on the service thread so the ids stay contiguous
   // from `base`.
   const uint64_t base = next_batch_id_.load();
-  // One distributed trace per inference batch (DESIGN.md §8): the
-  // monitor's admit/forward/verify spans and — via the authenticated
-  // channel headers — every variant-side span share a batch's id.
-  std::vector<uint64_t> trace_ids;
-  // Cross-validation CPU per batch: the request's verify phase.
-  std::vector<int64_t> batch_verify_us;
   obs::ScopedSpan run_span("monitor/run", {});
   auto channel_bytes = [&] {
     uint64_t total = 0;
@@ -1143,6 +1134,12 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
     // Verify-pool jobs holding pointers into this state (worker side or
     // queued applier). GC of a completed batch waits for zero.
     size_t jobs_inflight = 0;
+    // One distributed trace per inference batch (DESIGN.md §8): the
+    // monitor's admit/forward/verify spans and — via the authenticated
+    // channel headers — every variant-side span share this id.
+    uint64_t trace_id = 0;
+    // Cross-validation CPU for this batch: the request's verify phase.
+    int64_t verify_us = 0;
   };
   // Deque: pointer-stable across both the feed's push_back growth and
   // the sliding-window pop_front GC (workers hold BatchState*).
@@ -1150,7 +1147,16 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
   // Stream indices below window_base are completed, GC'd batches; live
   // state for batch b is bat(b).
   size_t window_base = 0;
+  size_t completed = 0;
+  size_t admitted = 0;
   auto bat = [&](size_t b) -> BatchState& { return bs[b - window_base]; };
+  // Trace of batch b; 0 once its state is reclaimed. The window always
+  // keeps the newest admitted batch, where incidents no verdict site
+  // owns are filed.
+  auto trace_of = [&](size_t b) -> uint64_t {
+    return b >= window_base && b < admitted ? bat(b).trace_id : 0;
+  };
+  auto newest = [&] { return admitted > 0 ? admitted - 1 : 0; };
   // Cross-validation worker pool (declared after `bs`: destroyed first,
   // so in-flight jobs never outlive the state they read). Completed
   // jobs notify the wait set so the loop below wakes up.
@@ -1172,7 +1178,7 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
                              const std::vector<int>& dissenters = {},
                              const InferResultMsg* fast = nullptr) {
     obs::CheckpointEvidence ev;
-    ev.trace_id = trace_ids[b];
+    ev.trace_id = trace_of(b);
     ev.batch = base + b;
     ev.stage = static_cast<int32_t>(s);
     ev.verdict = std::move(verdict);
@@ -1214,24 +1220,32 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
                            const std::string& detail) {
     if (evidence_dumped) return;
     evidence_dumped = true;
-    (void)recorder.DumpBundle(trigger, trace_ids[b], detail);
+    (void)recorder.DumpBundle(trigger, trace_of(b), detail);
   };
 
   // --- lifecycle supervision (ReactionKind::kQuarantineAndRestart) ---
   const bool supervised = supervisor_ != nullptr;
-  bool lifecycle_events = false;       // any transition this run
-  size_t lifecycle_trigger_batch = 0;  // first affected batch (evidence)
+  // An open lifecycle episode: its first transition's trace, where its
+  // evidence bundle is filed once the episode settles.
+  bool lifecycle_open = false;
+  uint64_t lifecycle_trigger_trace = 0;
+  auto dump_lifecycle = [&](const char* detail) {
+    lifecycle_open = false;
+    (void)recorder.DumpBundle("quarantine", lifecycle_trigger_trace, detail);
+  };
   // Settles a departed slot's owed reports as failures so waiting votes
   // proceed without the recv timeout. Assigned after handle_result
   // (mutual recursion: quarantine -> settle -> handle_result).
   std::function<void(size_t, size_t, const char*)> settle_owed;
 
   // Lifecycle verdict record ("quarantine" / "rebootstrap" / "readmit" /
-  // "retired") on the affected batch's trace.
+  // "retired") on the affected batch's trace. A readmit or retire that
+  // leaves no slot in recovery settles the episode: its bundle (the
+  // ring holds every verdict of it) is written then, once.
   auto note_lifecycle = [&](size_t s, size_t vi, const char* verdict,
                             size_t b, const std::string& why) {
     obs::CheckpointEvidence ev;
-    ev.trace_id = trace_ids[b];
+    ev.trace_id = trace_of(b);
     ev.batch = base + b;
     ev.stage = static_cast<int32_t>(s);
     ev.verdict = verdict;
@@ -1242,10 +1256,15 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
     ve.ok = std::string_view(verdict) == "readmit" ||
             std::string_view(verdict) == "rebootstrap";
     ve.dissent = !ve.ok;
+    const bool settles = ve.ok ? std::string_view(verdict) == "readmit"
+                               : std::string_view(verdict) == "retired";
     ev.variants.push_back(std::move(ve));
     recorder.Note(std::move(ev));
-    if (!lifecycle_events) lifecycle_trigger_batch = b;
-    lifecycle_events = true;
+    if (!lifecycle_open) lifecycle_trigger_trace = trace_of(b);
+    lifecycle_open = true;
+    if (settles && !supervisor_->Recovering()) {
+      dump_lifecycle("variant lifecycle episode settled");
+    }
   };
 
   // Channel teardown + audit for a slot that just left the panel.
@@ -1284,14 +1303,12 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
   };
 
   util::Status run_error = util::OkStatus();
-  size_t completed = 0;
-  size_t admitted = 0;
   int64_t last_completion_vus = vclock_us_;
 
   auto admit = [&](size_t b, const std::vector<Tensor>& inputs) {
     // Root of batch b's distributed trace; the span's context rides to
     // every variant in the sends' authenticated plaintext headers.
-    obs::TraceContextScope troot(trace_ids[b], 0);
+    obs::TraceContextScope troot(bat(b).trace_id, 0);
     obs::ScopedSpan span("monitor/admit",
                          {.batch = static_cast<int64_t>(base + b), .tag = {}});
     const util::Bytes tctx = EncodeTraceContext(span.context());
@@ -1371,7 +1388,7 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
     event_vbase = state.v_chosen.count(s) ? state.v_chosen[s] : vnow();
     if (supervised && judge_pending_shadows) judge_pending_shadows(s, b);
     if (!monitor_forwards_[s].empty()) {
-      obs::TraceContextScope troot(trace_ids[b], 0);
+      obs::TraceContextScope troot(state.trace_id, 0);
       obs::ScopedSpan span("monitor/forward",
                            {.stage = static_cast<int32_t>(s),
                             .batch = static_cast<int64_t>(base + b),
@@ -1437,7 +1454,7 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
         outs.push_back(state.chosen[static_cast<size_t>(src.stage)]
                                    [static_cast<size_t>(src.index)]);
       }
-      feed.deliver(b, std::move(outs), batch_verify_us[b], trace_ids[b]);
+      feed.deliver(b, std::move(outs), state.verify_us, state.trace_id);
       // A request admitted after this completion was observed starts
       // after it on the monitor's clock.
       vclock_us_ = std::max(vclock_us_, vcomplete);
@@ -1452,7 +1469,7 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
     m_.verify_job_us->Observe(verify_cpu);
     m_.prefilter_hits->Add(cstats.prefilter_hits);
     m_.full_checks->Add(cstats.full_checks);
-    batch_verify_us[b] += verify_cpu;
+    bat(b).verify_us += verify_cpu;
   };
 
   // The decision verdict is its own virtual-time event, parallel to
@@ -1556,7 +1573,7 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
     const CheckPolicy check = config_.check;
     obs::Histogram* verify_hist = stages_[s].metrics.verify_us;
     ++state.jobs_inflight;  // released by the applier (monitor thread)
-    pool.Submit([this, s, b, k, st, base, tid = trace_ids[b],
+    pool.Submit([this, s, b, k, st, base, tid = state.trace_id,
                  vmap = std::move(vmap),
                  auto_dissent = std::move(auto_dissent),
                  settled = std::move(settled), check, vote_policy,
@@ -1666,7 +1683,7 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
     const CheckPolicy check = config_.check;
     obs::Histogram* verify_hist = stages_[s].metrics.verify_us;
     ++state.jobs_inflight;  // released by the applier (monitor thread)
-    pool.Submit([this, s, b, k, st, base, tid = trace_ids[b],
+    pool.Submit([this, s, b, k, st, base, tid = state.trace_id,
                  outs = std::move(outs), in_snapshot = std::move(in_snapshot),
                  settled_count, voting_count, supervised, check,
                  verify_hist, &rstats,
@@ -1785,7 +1802,10 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
   auto handle_result = [&](size_t s, size_t vi, InferResultMsg&& msg) {
     if (msg.batch_id < base + window_base ||
         msg.batch_id >= base + admitted) {
-      return;  // stale frame: earlier (aborted) run, or a GC'd batch
+      // Stale frame: an earlier (aborted) stream, or a batch the window
+      // released after the variant had already run it.
+      m_.stale_reports->Add(1);
+      return;
     }
     const size_t b = static_cast<size_t>(msg.batch_id - base);
     BatchState& state = bat(b);
@@ -1810,7 +1830,7 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
       if (config_.verify_fast_path) {
         bool rule_violation = false;
         {
-          obs::TraceContextScope troot(trace_ids[b], 0);
+          obs::TraceContextScope troot(state.trace_id, 0);
           obs::ScopedSpan span("monitor/verify",
                                {.stage = static_cast<int32_t>(s),
                                 .batch = static_cast<int64_t>(msg.batch_id),
@@ -1951,36 +1971,46 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
   // An async verdict commits at quorum, so a completed batch may still
   // be owed a report by a live voting slot. That straggler report is
   // cross-validated against the accepted outputs (late divergence), so
-  // the batch's state is kept until it arrives.
+  // the batch's state is kept until it arrives — or until the window
+  // abandons it.
+  auto owed = [&](const BatchState& state, size_t s, size_t vi) {
+    return !state.reports.at(s)[vi] && state.masks[s][vi] == 1 &&
+           (!supervised || supervisor_->ChannelLive(s, vi));
+  };
   auto owes_reports = [&](const BatchState& state) {
     for (const auto& [s, panel] : state.reports) {
       for (size_t vi = 0; vi < panel.size(); ++vi) {
-        if (!panel[vi] && state.masks[s][vi] == 1 &&
-            (!supervised || supervisor_->ChannelLive(s, vi))) {
-          return true;
-        }
+        if (owed(state, s, vi)) return true;
       }
     }
     return false;
   };
-  auto stragglers_owed = [&] {
-    return std::any_of(bs.begin(), bs.end(), [&](const BatchState& state) {
-      return state.complete && owes_reports(state);
-    });
+  // Abandons batch b's owed reports: each owing variant gets a Release,
+  // so it drops the batch unrun instead of computing a report the
+  // monitor would discard as stale.
+  auto release_owed = [&](size_t b) {
+    const BatchState& state = bat(b);
+    const util::Bytes frame = EncodeRelease({base + b});
+    for (const auto& [s, panel] : state.reports) {
+      for (size_t vi = 0; vi < panel.size(); ++vi) {
+        if (owed(state, s, vi)) {
+          (void)stages_[s].variants[vi].channel->Send(frame);
+        }
+      }
+    }
   };
 
   // Evented loop: drain completed verify verdicts, refill free
   // pipeline slots from the feed, poll every variant channel without
   // blocking, then — only if nothing happened — block on the shared
   // wait set until a frame lands or a verify job completes. The stream
-  // starts empty and ends once every admitted batch completed, the
-  // verify pool drained (pending verdicts still carry stats) and the
-  // feed quiesced. An idle stream lingers for owed straggler reports
-  // (at most recv_timeout of silence), but not once the service stops.
+  // starts empty, parks while the queue is empty, and ends on a stream
+  // error or once the service stops, every admitted batch completed and
+  // the verify pool drained (pending verdicts still carry stats); owed
+  // straggler reports are not awaited then.
   int64_t idle_deadline = util::NowMicros() + config_.recv_timeout_us;
   auto work_remains = [&] {
-    return completed < admitted || pool.pending() > 0 || !feed.quiesce() ||
-           (!feed.stopping() && stragglers_owed());
+    return !feed.stopping() || completed < admitted || pool.pending() > 0;
   };
   while (work_remains() && run_error.ok()) {
     // Liveness beacon for the stall watchdog: the loop either makes
@@ -2008,13 +2038,16 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
 
     // 1b) Sliding-window GC: a completed batch's state is reclaimed
     //     once no verify job can still read it and no straggler owes
-    //     it a report; past max_inflight retained batches the oldest
-    //     one's straggler is abandoned, so a backlogged variant cannot
-    //     grow the window. Late frames for reclaimed ids are dropped by
-    //     handle_result's guard.
-    while (!bs.empty() && bs.front().complete &&
-           bs.front().jobs_inflight == 0 &&
-           (bs.size() > 2 * feed.max_inflight || !owes_reports(bs.front()))) {
+    //     it a report; past 2 x max_inflight retained batches the
+    //     oldest one's stragglers are released, so a backlogged variant
+    //     grows neither the window nor its own queue. Late frames for
+    //     reclaimed ids are dropped by handle_result's guard. The newest
+    //     batch is always kept (see trace_of).
+    while (bs.size() > 1 && bs.front().complete &&
+           bs.front().jobs_inflight == 0) {
+      const bool owing = owes_reports(bs.front());
+      if (owing && bs.size() <= 2 * feed.max_inflight) break;
+      if (owing) release_owed(window_base);
       bs.pop_front();
       ++window_base;
     }
@@ -2030,9 +2063,7 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
       for (size_t i = 0; i < got; ++i) {
         (void)next_batch_id_.fetch_add(1);  // == base + admitted
         const size_t b = admitted;          // admit() advances it
-        bs.emplace_back();
-        trace_ids.push_back(obs::NewTraceId());
-        batch_verify_us.push_back(0);
+        bs.emplace_back().trace_id = obs::NewTraceId();
         admit(b, fresh[i]);
         progressed = true;
       }
@@ -2045,7 +2076,7 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
       for (const auto& [qs, qvi] :
            supervisor_->DueForRebootstrap(util::NowMicros())) {
         RebootstrapSlot(qs, qvi);
-        const size_t evb = admitted > 0 ? admitted - 1 : 0;
+        const size_t evb = newest();
         const VariantLifecycle after = supervisor_->state(qs, qvi);
         if (after == VariantLifecycle::kRetired) {
           note_lifecycle(qs, qvi, "retired", evb,
@@ -2073,8 +2104,7 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
           // shrink. Tampered/replayed frames kill the CHANNEL's trust
           // (the variant is quarantined and re-attested from scratch);
           // without a supervisor they abort the run as before.
-          if (lifecycle_failure(s, vi, admitted > 0 ? admitted - 1 : 0,
-                                FailureKind::kChannel)) {
+          if (lifecycle_failure(s, vi, newest(), FailureKind::kChannel)) {
             progressed = true;
             continue;
           }
@@ -2116,15 +2146,12 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
       idle_deadline = util::NowMicros() + config_.recv_timeout_us;
     } else if (run_error.ok()) {
       const int64_t now = util::NowMicros();
-      const bool drained = completed == admitted && pool.pending() == 0;
-      if (drained && !stragglers_owed()) {
-        // An idle stream owes nothing: waiting for work is not a
-        // variant stall.
+      if (completed == admitted && pool.pending() == 0) {
+        // Waiting for work, or for async stragglers the window bounds,
+        // is not a variant stall.
         idle_deadline = now + config_.recv_timeout_us;
       }
       if (now > idle_deadline) {
-        // Only stragglers are owed: stop waiting for them.
-        if (drained) break;
         // A silent variant must not fail the whole batch while the
         // remaining panel can still satisfy the vote policy: classify
         // the expiry as per-slot variant failures on every owed voting
@@ -2203,15 +2230,12 @@ util::Status Monitor::RunStream(StreamFeed& feed) {
          code == util::StatusCode::kPermissionDenied)
             ? "auth-failure"
             : "run-abort";
-    dump_evidence(trigger, admitted > 0 ? admitted - 1 : 0,
-                  run_error.message());
+    dump_evidence(trigger, newest(), run_error.message());
   }
-  // Lifecycle-only runs (quarantines absorbed without aborting) leave a
-  // bundle too: the ring holds the quarantine AND readmit/retire
-  // verdicts, attributed to the first affected batch's trace.
-  if (lifecycle_events && !evidence_dumped) {
-    dump_evidence("quarantine", lifecycle_trigger_batch,
-                  "variant lifecycle events (run completed)");
+  // A lifecycle episode still open when the stream ends (quarantines
+  // absorbed without aborting) leaves its bundle now.
+  if (lifecycle_open && !evidence_dumped) {
+    dump_lifecycle("variant lifecycle episode open at stream end");
   }
 
   flush_stats();

@@ -393,7 +393,8 @@ class Monitor {
   // Continuous-feed hooks for RunStream: the stream starts empty and
   // pulls work from the feed whenever a pipeline slot frees, delivering
   // each batch's result as soon as it completes (no full-queue
-  // barrier). Completed batch state is garbage-collected behind a
+  // barrier). It lives until the service stops or a stream error, so
+  // everything it keeps per batch is garbage-collected behind a
   // sliding window.
   struct StreamFeed {
     // Concurrent pipeline slots (SchedulerConfig::max_batch).
@@ -409,12 +410,9 @@ class Monitor {
     std::function<void(size_t b, std::vector<tensor::Tensor> outputs,
                        int64_t verify_us, uint64_t trace_id)>
         deliver;
-    // True once the stream should stop pulling and return when the
-    // last inflight batch drains (service stopping, or the queue went
-    // idle).
-    std::function<bool()> quiesce;
-    // True while the service stops: the stream then returns without
-    // waiting for straggler reports.
+    // True while the service stops: the stream pulls no more work and
+    // returns once the last inflight batch drains, without waiting for
+    // straggler reports.
     std::function<bool()> stopping;
     // Earliest absolute wall time the feed wants a refill poll (batch
     // window expiry); 0 = none.
@@ -426,14 +424,15 @@ class Monitor {
   // stream's terminal status.
   util::Status RunStream(StreamFeed& feed);
 
-  // The request loop body (service thread): runs continuous serving
-  // streams (scheduler-formed batches through RunStream's feed hooks)
-  // whenever submits are queued.
+  // The request loop body (service thread): starts a continuous
+  // serving stream (scheduler-formed batches through RunStream's feed
+  // hooks) once a submit is queued, and a fresh one after a stream
+  // error.
   void ServiceLoop();
 
   // One continuous serving stream: admits scheduler-formed requests
-  // until quiesced (stop / idle queue). Returns the stream's terminal
-  // status (OK on a clean quiesce).
+  // until the service stops or the stream fails; an empty queue only
+  // parks it. Returns the stream's terminal status (OK on a stop).
   util::Status ServeStream(BatchFormer& former);
 
   // Resolves the monitor-level and per-stage metric instruments.
@@ -512,6 +511,8 @@ class Monitor {
     // iteration. The stall watchdog samples it; sustained silence while
     // work is pending means the loop is wedged.
     obs::Counter* loop_heartbeat = nullptr;
+    // Reports for batches outside the stream's window (dropped unseen).
+    obs::Counter* stale_reports = nullptr;
   };
   MonitorMetrics m_{};
   mutable std::mutex stats_mu_;

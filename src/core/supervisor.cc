@@ -263,4 +263,18 @@ bool Supervisor::AnyEvents() const {
   return quarantines_ > 0 || readmissions_ > 0 || retirements_ > 0;
 }
 
+bool Supervisor::Recovering() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& stage : slots_) {
+    for (const auto& si : stage) {
+      if (si.state == VariantLifecycle::kQuarantined ||
+          si.state == VariantLifecycle::kRebootstrapping ||
+          si.state == VariantLifecycle::kProbation) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
 }  // namespace mvtee::core

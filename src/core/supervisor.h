@@ -124,6 +124,9 @@ class Supervisor {
   uint64_t retirements_total() const;
   // Any lifecycle transition since Reset (evidence-dump trigger).
   bool AnyEvents() const;
+  // Some slot is quarantined, re-bootstrapping or on probation: a
+  // lifecycle episode is still open (it settles on readmit or retire).
+  bool Recovering() const;
 
   const ReactionPolicy& policy() const { return policy_; }
 

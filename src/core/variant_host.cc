@@ -84,6 +84,11 @@ struct VariantState {
     obs::TraceContext ctx;
   };
   std::map<uint64_t, Assembly> pending;
+  // Batches below this id were released by the monitor (its window
+  // abandoned their reports): their inputs are dropped unrun.
+  uint64_t released_below = 0;
+  obs::Gauge* pending_hwm = nullptr;      // variant.pending_batches_hwm
+  obs::Counter* released_total = nullptr;  // variant.released_total
 
   // Virtual-time performance model: this variant's own timeline. Real
   // work is measured with the thread CPU clock and advances the virtual
@@ -229,13 +234,13 @@ util::Status SetupRoutes(const SetupRoutesMsg& msg, tee::Enclave& enclave,
   return util::OkStatus();
 }
 
-// Places slot data into the batch assembly; returns the batch id if it
-// became complete.
-std::optional<uint64_t> Fill(VariantState& state, uint64_t batch,
-                             const std::vector<uint32_t>& slots,
-                             std::vector<tensor::Tensor>&& tensors,
-                             int64_t arrival_vtime,
-                             const obs::TraceContext& ctx) {
+// Places slot data into the batch assembly; a released batch's data is
+// dropped.
+void Fill(VariantState& state, uint64_t batch,
+          const std::vector<uint32_t>& slots,
+          std::vector<tensor::Tensor>&& tensors, int64_t arrival_vtime,
+          const obs::TraceContext& ctx) {
+  if (batch < state.released_below) return;
   auto& assembly = state.pending[batch];
   if (assembly.slots.empty()) {
     assembly.slots.resize(state.total_slots);
@@ -251,10 +256,16 @@ std::optional<uint64_t> Fill(VariantState& state, uint64_t batch,
       ++assembly.filled;
     }
   }
-  if (assembly.filled == state.total_slots && state.total_slots > 0) {
-    return batch;
-  }
-  return std::nullopt;
+}
+
+// The monitor abandoned this variant's reports up to `batch`: drop
+// their assemblies, complete or not, and any of their data still on
+// the way.
+void Release(VariantState& state, uint64_t batch) {
+  state.released_below = std::max(state.released_below, batch + 1);
+  state.pending.erase(state.pending.begin(),
+                      state.pending.lower_bound(state.released_below));
+  state.released_total->Add(1);
 }
 
 // Runs a completed batch and distributes the results, advancing the
@@ -349,11 +360,15 @@ bool Consumed(const util::Status& status) {
 }
 
 // Variant service main loop (one per enclave/thread). Evented: each
-// pass snapshots the wait set's epoch, polls the monitor channel and
-// every upstream pipe without blocking, and parks on the wait set only
-// if no frame was consumed. The loop exits on protocol events alone —
-// Shutdown, the monitor closing its channel, or a monitor frame that
-// does not decode — never on silence (DESIGN.md §7).
+// pass snapshots the wait set's epoch, drains every readable frame on
+// the monitor channel and the upstream pipes into `pending` without
+// blocking, runs the oldest complete batch, and parks on the wait set
+// only if nothing happened. Draining first lets a Release discard an
+// abandoned batch before it runs, so a straggler's backlog is bounded by
+// the monitor's window, not by how far it fell behind. The loop exits
+// on protocol events alone — Shutdown, the monitor closing its channel,
+// or a monitor frame that does not decode — never on silence
+// (DESIGN.md §7).
 void VariantServiceMain(std::unique_ptr<tee::Enclave> enclave,
                         transport::Endpoint endpoint, VariantHost* host,
                         tee::SimulatedCpu* cpu,
@@ -377,6 +392,9 @@ void VariantServiceMain(std::unique_ptr<tee::Enclave> enclave,
   }
 
   VariantState state;
+  obs::Registry& reg = obs::Registry::Default();
+  state.pending_hwm = &reg.GetGauge("variant.pending_batches_hwm");
+  state.released_total = &reg.GetCounter("variant.released_total");
   monitor_channel->AttachWaiter(state.events);
   auto teardown = [&] {
     monitor_channel->Close();
@@ -393,17 +411,20 @@ void VariantServiceMain(std::unique_ptr<tee::Enclave> enclave,
     // Epoch snapshot BEFORE polling: a frame landing after it advances
     // the epoch, so the park below returns at once.
     const uint64_t epoch = state.events->Epoch();
+    bool progressed = false;
 
-    // 1. Monitor channel.
-    util::Bytes header;
-    auto frame = monitor_channel->RecvPooled(0, &header);
-    if (!frame.ok() &&
-        frame.status().code() == util::StatusCode::kUnavailable) {
-      teardown();
-      return;  // monitor closed the channel
-    }
-    bool progressed = Consumed(frame.status());
-    if (frame.ok()) {
+    // 1. Monitor channel, until empty.
+    for (;;) {
+      util::Bytes header;
+      auto frame = monitor_channel->RecvPooled(0, &header);
+      if (!frame.ok() &&
+          frame.status().code() == util::StatusCode::kUnavailable) {
+        teardown();
+        return;  // monitor closed the channel
+      }
+      if (!Consumed(frame.status())) break;
+      progressed = true;
+      if (!frame.ok()) continue;
       auto type = PeekType(frame->span());
       if (!type.ok()) {
         teardown();
@@ -448,21 +469,22 @@ void VariantServiceMain(std::unique_ptr<tee::Enclave> enclave,
         case MsgType::kInfer: {
           auto msg = DecodeInfer(*frame);
           if (msg.ok() && state.executor) {
-            state.vclock_us = std::max(
-                state.vclock_us, static_cast<int64_t>(msg->vtime_us));
             obs::TraceContext ctx;
             if (auto c = DecodeTraceContext(header); c.ok()) ctx = *c;
-            auto done = Fill(state, msg->batch_id, msg->slots,
-                             std::move(msg->inputs), state.vclock_us, ctx);
-            if (done) {
-              RunAssembledBatch(state, *done, *monitor_channel, options);
-            }
+            Fill(state, msg->batch_id, msg->slots, std::move(msg->inputs),
+                 static_cast<int64_t>(msg->vtime_us), ctx);
           } else if (msg.ok()) {
             InferResultMsg err;
             err.batch_id = msg->batch_id;
             err.ok = false;
             err.error = "variant not initialized";
             (void)monitor_channel->Send(EncodeInferResult(err));
+          }
+          break;
+        }
+        case MsgType::kRelease: {
+          if (auto msg = DecodeRelease(frame->span()); msg.ok()) {
+            Release(state, msg->batch_id);
           }
           break;
         }
@@ -474,29 +496,35 @@ void VariantServiceMain(std::unique_ptr<tee::Enclave> enclave,
       }
     }
 
-    // 2. Upstream fast-path pipes.
+    // 2. Upstream fast-path pipes, each until empty.
     for (auto& up : state.upstream) {
-      util::Bytes up_header;
-      auto data_frame = up.channel->RecvPooled(0, &up_header);
-      if (!data_frame.ok()) {
-        progressed |= Consumed(data_frame.status());
-        continue;
-      }
-      progressed = true;
-      auto msg = DecodeStageData(*data_frame);  // tensors alias the frame
-      if (!msg.ok() || !state.executor) continue;
-      state.vclock_us =
-          std::max(state.vclock_us, static_cast<int64_t>(msg->vtime_us));
-      obs::TraceContext ctx;
-      if (auto c = DecodeTraceContext(up_header); c.ok()) ctx = *c;
-      auto done = Fill(state, msg->batch_id, msg->slots,
-                       std::move(msg->tensors), state.vclock_us, ctx);
-      if (done) {
-        RunAssembledBatch(state, *done, *monitor_channel, options);
+      for (;;) {
+        util::Bytes up_header;
+        auto data_frame = up.channel->RecvPooled(0, &up_header);
+        if (!Consumed(data_frame.status())) break;
+        progressed = true;
+        if (!data_frame.ok()) continue;
+        auto msg = DecodeStageData(*data_frame);  // tensors alias the frame
+        if (!msg.ok() || !state.executor) continue;
+        obs::TraceContext ctx;
+        if (auto c = DecodeTraceContext(up_header); c.ok()) ctx = *c;
+        Fill(state, msg->batch_id, msg->slots, std::move(msg->tensors),
+             static_cast<int64_t>(msg->vtime_us), ctx);
       }
     }
 
-    // 3. Idle: park until a frame lands or a channel closes.
+    // 3. The oldest complete batch. One per pass: frames that land while
+    //    it runs (a Release among them) are drained before the next.
+    state.pending_hwm->Max(static_cast<int64_t>(state.pending.size()));
+    for (const auto& [batch, assembly] : state.pending) {
+      if (state.total_slots > 0 && assembly.filled == state.total_slots) {
+        RunAssembledBatch(state, batch, *monitor_channel, options);
+        progressed = true;
+        break;
+      }
+    }
+
+    // 4. Idle: park until a frame lands or a channel closes.
     if (!progressed) state.events->WaitFor(epoch, kParkUs);
   }
 }

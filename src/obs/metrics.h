@@ -47,6 +47,14 @@ class Gauge {
   void Add(int64_t delta) {
     value_.fetch_add(delta, std::memory_order_relaxed);
   }
+  // Raises the value to `v` if it is higher (a high-water mark that
+  // several threads may feed).
+  void Max(int64_t v) {
+    int64_t cur = value_.load(std::memory_order_relaxed);
+    while (v > cur &&
+           !value_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+    }
+  }
   int64_t value() const { return value_.load(std::memory_order_relaxed); }
   void Reset() { value_.store(0, std::memory_order_relaxed); }
 

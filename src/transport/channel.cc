@@ -45,8 +45,13 @@ void MessageQueue::Push(util::PooledBuffer frame) {
 
 std::optional<util::PooledBuffer> MessageQueue::Pop(int64_t timeout_us) {
   std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait_for(lock, std::chrono::microseconds(timeout_us),
-               [&] { return !frames_.empty() || closed_; });
+  // A zero timeout is a poll: wait_for(0) would still park for the
+  // kernel's timer slack (~50 us), which every event-loop pass pays once
+  // per channel.
+  if (timeout_us > 0) {
+    cv_.wait_for(lock, std::chrono::microseconds(timeout_us),
+                 [&] { return !frames_.empty() || closed_; });
+  }
   if (frames_.empty()) return std::nullopt;
   util::PooledBuffer frame = std::move(frames_.front());
   frames_.pop_front();
@@ -188,8 +193,10 @@ Endpoint Listener::Connect() {
 
 util::Result<Endpoint> Listener::Accept(int64_t timeout_us) {
   std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait_for(lock, std::chrono::microseconds(timeout_us),
-               [&] { return !pending_.empty() || closed_; });
+  if (timeout_us > 0) {  // zero is a poll, as in MessageQueue::Pop
+    cv_.wait_for(lock, std::chrono::microseconds(timeout_us),
+                 [&] { return !pending_.empty() || closed_; });
+  }
   if (!pending_.empty()) {
     Endpoint ep = std::move(pending_.front());
     pending_.pop_front();

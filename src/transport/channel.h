@@ -94,8 +94,9 @@ class MessageQueue {
   // Queues carry refcounted pooled buffers, so a frame moves from
   // sender to receiver without its bytes being copied.
   void Push(util::PooledBuffer frame);
-  // Blocks up to timeout; nullopt on timeout, error state on close+empty
-  // is signalled via closed() by the caller.
+  // Blocks up to timeout (a timeout <= 0 polls and never blocks);
+  // nullopt on timeout, error state on close+empty is signalled via
+  // closed_and_empty() to the caller.
   std::optional<util::PooledBuffer> Pop(int64_t timeout_us);
   void Close();
   bool closed_and_empty();
@@ -141,7 +142,8 @@ class Endpoint {
   util::Status SendPooled(util::PooledBuffer frame);
 
   // Receives one frame; kDeadlineExceeded on timeout, kUnavailable if
-  // the peer closed and the queue drained.
+  // the peer closed and the queue drained. A timeout <= 0 polls: it
+  // checks the queue and returns without blocking.
   util::Result<util::Bytes> Recv(int64_t timeout_us = 5'000'000);
 
   // Zero-copy receive: hands back the sender's buffer.
@@ -203,7 +205,8 @@ class Listener {
   Endpoint Connect();
 
   // Blocks for the next queued connection; kDeadlineExceeded on
-  // timeout, kUnavailable once Close()d and drained.
+  // timeout, kUnavailable once Close()d and drained. A timeout <= 0
+  // polls without blocking.
   util::Result<Endpoint> Accept(int64_t timeout_us = 5'000'000);
 
   void Close();

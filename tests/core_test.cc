@@ -105,6 +105,30 @@ TEST(ConsistencyTest, ByteIdenticalNanListsReject) {
   EXPECT_EQ(v.winner, -1);
 }
 
+TEST(ConsistencyTest, RejectedVoteFlagsEveryUnvouchedMember) {
+  // Non-finite outputs always dissent, identical bytes or not.
+  const std::vector<Tensor> nan_list = {Vec({1, std::nanf(""), 3})};
+  auto nan_panel = Vote({nan_list, nan_list, nan_list},
+                        CheckPolicy::Cosine(0.0), VotePolicy::kMajority);
+  EXPECT_EQ(nan_panel.dissenters, (std::vector<int>{0, 1, 2}));
+  // A lone non-finite output is not a panel that trivially accepts.
+  auto lone = Vote({nan_list}, CheckPolicy::Cosine(0.0),
+                   VotePolicy::kUnanimous);
+  EXPECT_FALSE(lone.accepted);
+  EXPECT_EQ(lone.dissenters, std::vector<int>{0});
+  // An even split names no honest side: both pairs dissent.
+  auto split = Vote({{Vec({1, 2, 3})}, {Vec({1, 2, 3})}, {Vec({-1, 5, 0})},
+                     {Vec({-1, 5, 0})}},
+                    CheckPolicy::Cosine(0.999), VotePolicy::kMajority);
+  EXPECT_FALSE(split.accepted);
+  EXPECT_EQ(split.dissenters, (std::vector<int>{0, 1, 2, 3}));
+  // A unanimous reject with a majority bloc flags only the minority.
+  auto two_one = Vote({{Vec({1, 2, 3})}, {Vec({1, 2, 3})}, {Vec({-1, 5, 0})}},
+                      CheckPolicy::Cosine(0.999), VotePolicy::kUnanimous);
+  EXPECT_FALSE(two_one.accepted);
+  EXPECT_EQ(two_one.dissenters, std::vector<int>{2});
+}
+
 TEST(ConsistencyTest, SignedZerosAgreeThroughTheMetric) {
   // -0.0f and +0.0f differ in bytes but not in value.
   CheckStats stats;

@@ -231,6 +231,33 @@ TEST(DecoderFuzz, InferResultTruncation) {
                          });
 }
 
+TEST(DecoderFuzz, ReleaseTruncationAndCorruption) {
+  core::ReleaseMsg msg;
+  msg.batch_id = 0x0102030405060708ull;
+  const util::Bytes frame = core::EncodeRelease(msg);
+  TruncationNeverCrashes(frame, [](util::ByteSpan f) {
+    return core::DecodeRelease(f);
+  });
+  // Trailing bytes and a foreign tag are rejected; every batch id
+  // round-trips.
+  util::Bytes longer = frame;
+  longer.push_back(0);
+  EXPECT_FALSE(core::DecodeRelease(longer).ok());
+  util::Bytes retagged = frame;
+  retagged[0] = static_cast<uint8_t>(core::MsgType::kShutdown);
+  EXPECT_FALSE(core::DecodeRelease(retagged).ok());
+  util::Rng rng(3);
+  for (int i = 0; i < 200; ++i) {
+    msg.batch_id = rng.NextU64();
+    auto back = core::DecodeRelease(core::EncodeRelease(msg));
+    ASSERT_TRUE(back.ok());
+    EXPECT_EQ(back->batch_id, msg.batch_id);
+  }
+  auto type = core::PeekType(frame);
+  ASSERT_TRUE(type.ok());
+  EXPECT_EQ(*type, core::MsgType::kRelease);
+}
+
 TEST(DecoderFuzz, GraphTruncation) {
   graph::ModelBuilder b(3);
   auto x = b.Input("in", Shape({1, 4}));
@@ -384,7 +411,12 @@ core::VoteResult ReferenceVote(
   std::vector<int> bloc_of(n, -1);
   std::vector<size_t> reps;
   for (size_t i = 0; i < n; ++i) {
-    if (outputs[i].empty()) continue;
+    // Failed and non-finite lists join no bloc.
+    if (outputs[i].empty() ||
+        std::any_of(outputs[i].begin(), outputs[i].end(),
+                    [](const Tensor& t) { return tensor::HasNonFinite(t); })) {
+      continue;
+    }
     for (size_t r = 0; r < reps.size() && bloc_of[i] < 0; ++r) {
       if (ReferenceConsistent(outputs[i], outputs[reps[r]], policy, pairs)) {
         bloc_of[i] = static_cast<int>(r);
@@ -413,8 +445,11 @@ core::VoteResult ReferenceVote(
                         : best_size * 2 > n;
   result.winner =
       result.accepted ? static_cast<int>(reps[static_cast<size_t>(best)]) : -1;
+  // Without a strict majority bloc every member dissents.
   for (size_t i = 0; i < n; ++i) {
-    if (bloc_of[i] != best) result.dissenters.push_back(static_cast<int>(i));
+    if (best_size * 2 <= n || bloc_of[i] != best) {
+      result.dissenters.push_back(static_cast<int>(i));
+    }
   }
   return result;
 }

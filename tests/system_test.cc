@@ -295,6 +295,100 @@ TEST_F(VirtualTimeTest, AsyncLateDivergenceDetected) {
   EXPECT_GT(stats.divergences + stats.late_divergences, 0u);
 }
 
+TEST_F(VirtualTimeTest, AsyncStragglerBacklogStaysWithinTheWindow) {
+  // A 6x-slow, corrupted panel member under an async majority vote
+  // cannot keep up with 16x the monitor's retained window of requests.
+  // Once the window abandons its owed reports, the monitor releases
+  // them, so the straggler drops those batches unrun: its pending
+  // batches stay within the window instead of growing with the run.
+  // Its reports that land inside the window are still cross-checked.
+  model_ = graph::BuildModel(graph::ModelKind::kResNet50, SmallZoo());
+  auto opts = Offline(2, 2, /*replicated=*/true);
+  opts.pool.include_slow_variant = true;
+  opts.pool.slow_variant_factor = 6.0;
+  auto bundle = RunOfflineTool(model_, opts);
+  ASSERT_TRUE(bundle.ok());
+  bundle_ = std::move(*bundle);
+
+  class Corrupt : public runtime::FaultHook {
+   public:
+    void OnNodeComplete(const graph::Node&, Tensor& out) override {
+      if (out.num_elements() > 0) out.data()[0] += 100.0f;
+    }
+  };
+  host_ = std::make_unique<VariantHost>(&cpu_, bundle_.store);
+  host_->SetFaultHook("s0.v2", std::make_shared<Corrupt>());  // slow one
+
+  MonitorConfig config;
+  config.mode = ExecMode::kAsync;
+  config.check = CheckPolicy::Cosine(0.99);
+  config.vote = VotePolicy::kMajority;
+  config.reaction = ReactionPolicy::ContinueWithWinner();
+  auto monitor = Monitor::Create(&cpu_, config);
+  ASSERT_TRUE(monitor.ok());
+  monitor_ = std::move(*monitor);
+  ASSERT_TRUE(monitor_
+                  ->Initialize(bundle_, MvxSelection::Uniform(bundle_, 3),
+                               *host_)
+                  .ok());
+
+  // Two pipeline slots: the monitor retains 2 x 2 completed batches for
+  // owed reports, plus the 2 in flight.
+  constexpr size_t kMaxBatch = 2;
+  constexpr size_t kWindow = 3 * kMaxBatch;
+  ServiceConfig service;
+  service.admission_queue_max = 64;
+  service.scheduler.max_batch = kMaxBatch;
+  service.scheduler.batch_window_us = 0;
+  obs::Registry& reg = obs::Registry::Default();
+  reg.GetGauge("variant.pending_batches_hwm").Reset();
+  const uint64_t released0 = reg.GetCounter("variant.released_total").value();
+  const uint64_t stale0 = reg.GetCounter("monitor.stale_reports_total").value();
+  (void)monitor_->ConsumeStats();
+
+  ASSERT_TRUE(monitor_->StartService(service).ok());
+  auto session = monitor_->OpenSession();
+  ASSERT_TRUE(session.ok());
+  util::Rng rng(21);
+  std::vector<std::vector<Tensor>> batches;
+  std::vector<std::future<InferenceResponse>> answers;
+  for (size_t i = 0; i < 16 * 2 * kMaxBatch; ++i) {
+    batches.push_back({Tensor::RandomUniform(Shape({1, 3, 32, 32}), rng)});
+    auto answer = (*session)->Submit({batches.back()});
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    answers.push_back(std::move(*answer));
+  }
+  for (size_t i = 0; i < answers.size(); ++i) {
+    InferenceResponse response = answers[i].get();
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    auto expected = ReferenceRun(model_, batches[i]);
+    EXPECT_GT(tensor::CosineSimilarity(response.outputs[0], expected[0]),
+              0.999)
+        << "request " << i;
+  }
+  monitor_->StopService();
+  auto stats = monitor_->ConsumeStats();
+  // Shutdown reaches each variant behind every Release sent before it.
+  ASSERT_TRUE(monitor_->Shutdown().ok());
+  host_->JoinAll();
+
+  // The straggler fell behind and was released from abandoned batches.
+  const uint64_t released =
+      reg.GetCounter("variant.released_total").value() - released0;
+  EXPECT_GT(released, 0u);
+  // A report is dropped as stale only for a batch the window had
+  // released (the variant ran it before the Release landed): none is
+  // dropped while the monitor still holds its batch.
+  EXPECT_LE(reg.GetCounter("monitor.stale_reports_total").value() - stale0,
+            released);
+  // No variant ever held more batches than the monitor still wanted.
+  EXPECT_LE(reg.GetGauge("variant.pending_batches_hwm").value(),
+            static_cast<int64_t>(kWindow));
+  // Straggler reports inside the window were cross-validated against
+  // the accepted outputs, and caught.
+  EXPECT_GT(stats.late_divergences, 0u);
+}
+
 TEST_F(VirtualTimeTest, VerifyFastPathCatchesNonFinitePoisoning) {
   model_ = graph::BuildModel(graph::ModelKind::kResNet50, SmallZoo());
   auto bundle = RunOfflineTool(model_, Offline(3, 1, /*replicated=*/true));
@@ -558,7 +652,10 @@ TEST_F(VirtualTimeTest, DivergenceWritesEvidenceBundleWithLinkedTrace) {
   EXPECT_EQ(doc->Find("trigger")->as_string(), "vote-divergence");
 
   // The flight recorder captured the divergent checkpoint, with the
-  // corrupted variant marked as the dissenter.
+  // corrupted variant marked as the dissenter. The ring is process-wide,
+  // so only this incident's trace is examined.
+  ASSERT_NE(doc->Find("trace_id"), nullptr);
+  const std::string bundle_trace = doc->Find("trace_id")->as_string();
   const obs::JsonValue* verdicts = doc->Find("verdicts");
   ASSERT_NE(verdicts, nullptr);
   // Each member's digest is a SHA-256 over its reported outputs: the
@@ -571,7 +668,10 @@ TEST_F(VirtualTimeTest, DivergenceWritesEvidenceBundleWithLinkedTrace) {
   };
   bool saw_divergence = false;
   for (const auto& v : verdicts->as_array()) {
-    if (v.Find("verdict")->as_string() != "divergence") continue;
+    if (v.Find("verdict")->as_string() != "divergence" ||
+        v.Find("trace_id")->as_string() != bundle_trace) {
+      continue;
+    }
     saw_divergence = true;
     std::vector<std::string> honest;
     std::string dissenter;
@@ -595,9 +695,8 @@ TEST_F(VirtualTimeTest, DivergenceWritesEvidenceBundleWithLinkedTrace) {
 
   // JsonValue stores numbers as doubles; ids compared after the same
   // uint64→double cast are consistent.
-  ASSERT_NE(doc->Find("trace_id"), nullptr);
   const double trace_id = static_cast<double>(
-      std::strtoull(doc->Find("trace_id")->as_string().c_str(), nullptr, 10));
+      std::strtoull(bundle_trace.c_str(), nullptr, 10));
   ASSERT_NE(trace_id, 0.0);
 
   const obs::JsonValue* trace = doc->Find("trace");
@@ -778,6 +877,9 @@ TEST_F(VirtualTimeTest, LifecycleEvidenceBundleRecordsQuarantineAndReadmit) {
   // to its batch's trace, and the supervisor metrics must move.
   char evidence_dir[] = "/tmp/mvtee-lifecycle-XXXXXX";
   ASSERT_NE(::mkdtemp(evidence_dir), nullptr);
+  // The ring is process-wide: start from an empty one, so verdicts of
+  // earlier tests (or repeats) in this process are not in the bundle.
+  obs::FlightRecorder::Default().Clear();
   ASSERT_EQ(::setenv("MVTEE_EVIDENCE_DIR", evidence_dir, 1), 0);
 
   model_ = graph::BuildModel(graph::ModelKind::kResNet50, SmallZoo());

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "tensor/tensor.h"
 #include "util/rng.h"
@@ -165,6 +168,44 @@ TEST(MetricsTest, HasNonFinite) {
   EXPECT_TRUE(HasNonFinite(with_nan));
   Tensor with_inf(Shape({2}), {1.0f, INFINITY});
   EXPECT_TRUE(HasNonFinite(with_inf));
+}
+
+TEST(MetricsTest, HasNonFiniteMatchesIsfiniteOnEveryFloatClass) {
+  // The exponent-bit test must agree with std::isfinite on NaN payloads
+  // (quiet, signalling, negative), +-inf and the finite edge cases, at
+  // every position of every length 0-67 (vector bodies and tails).
+  auto from_bits = [](uint32_t bits) {
+    float f = 0.0f;
+    std::memcpy(&f, &bits, sizeof(f));
+    return f;
+  };
+  const std::vector<float> specials = {
+      from_bits(0x7fc00000u), from_bits(0x7f800001u),  // quiet, signalling
+      from_bits(0x7fbfffffu), from_bits(0xffc00000u),  // payload, -NaN
+      from_bits(0xffffffffu), INFINITY, -INFINITY,
+      from_bits(0x00000001u), from_bits(0x807fffffu),  // denormals
+      0.0f, -0.0f, FLT_MAX, -FLT_MAX, FLT_MIN};
+  const std::vector<float> fill = {1.5f, -0.0f, from_bits(0x00400000u),
+                                   FLT_MAX, -3.25f, FLT_MIN};
+  auto reference = [](const std::vector<float>& v) {
+    for (float x : v) {
+      if (!std::isfinite(x)) return true;
+    }
+    return false;
+  };
+  for (int64_t n = 0; n <= 67; ++n) {
+    std::vector<float> base(static_cast<size_t>(n));
+    for (size_t i = 0; i < base.size(); ++i) base[i] = fill[i % fill.size()];
+    EXPECT_FALSE(HasNonFinite(Tensor(Shape({n}), base))) << "n " << n;
+    for (int64_t pos = 0; pos < n; ++pos) {
+      for (float special : specials) {
+        std::vector<float> v = base;
+        v[static_cast<size_t>(pos)] = special;
+        EXPECT_EQ(HasNonFinite(Tensor(Shape({n}), v)), reference(v))
+            << "n " << n << " pos " << pos << " value " << special;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -39,6 +39,38 @@ TEST(ChannelTest, RecvTimesOut) {
   EXPECT_EQ(got.status().code(), StatusCode::kDeadlineExceeded);
 }
 
+TEST(ChannelTest, ZeroTimeoutRecvIsAPoll) {
+  // A zero timeout checks the queue and returns: an event loop polls
+  // every channel once per pass, so a zero-timeout receive that parks
+  // for the timer slack (~50 us) would cost ~50 ms per 1000 polls.
+  auto [a, b] = CreateChannel();
+  int64_t t0 = util::NowMicros();
+  for (int i = 0; i < 1000; ++i) {
+    auto got = b.RecvPooled(0);
+    ASSERT_EQ(got.status().code(), StatusCode::kDeadlineExceeded);
+  }
+  EXPECT_LT(util::NowMicros() - t0, 5'000);
+
+  Listener listener;
+  t0 = util::NowMicros();
+  for (int i = 0; i < 1000; ++i) {
+    auto got = listener.Accept(0);
+    ASSERT_EQ(got.status().code(), StatusCode::kDeadlineExceeded);
+  }
+  EXPECT_LT(util::NowMicros() - t0, 5'000);
+
+  // A poll still sees what is there: a queued frame, a pending dial, a
+  // closed peer.
+  ASSERT_TRUE(a.Send(ToBytes("x")).ok());
+  auto frame = b.Recv(0);
+  ASSERT_TRUE(frame.ok());
+  EXPECT_EQ(*frame, ToBytes("x"));
+  Endpoint client = listener.Connect();
+  EXPECT_TRUE(listener.Accept(0).ok());
+  a.Close();
+  EXPECT_EQ(b.RecvPooled(0).status().code(), StatusCode::kUnavailable);
+}
+
 TEST(ChannelTest, CloseUnblocksReceiver) {
   auto [a, b] = CreateChannel();
   std::thread closer([&a] {
